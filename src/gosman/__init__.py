@@ -1,21 +1,13 @@
-"""GOSPA-driven sensor management for Gaussian Bernoulli filtering."""
+"""GOSPA-driven sensor management for Gaussian Bernoulli filtering.
 
-from .bernoulli import (BernoulliDensity, Gaussian, LinearSensor, MotionModel,
-                        empty_density, extract_estimate, make_psd,
-                        ncv_motion_model, optimal_threshold, position_trace,
-                        predict, reduce, update)
+The package root exports the entry points the CLI, the demos and the
+README use; the building blocks are imported from their modules
+(``gosman.bernoulli``, ``gosman.gospa``, ``gosman.planners``, ...).
+"""
+
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
-from .costs import (HypothesisPair, merge_hypotheses, msgospa_bound,
-                    msgospa_cost_at_threshold, node_cost, pseudo_update)
-from .gospa import POSITION_INDICES, GospaResult, RmsGospaSeries, gospa, rms_gospa
-from .planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
-                       kl_bernoulli_gaussian, kl_plan, make_policy, mcts_plan,
-                       mcts_search, myopic_plan, nearest_sensor_plan)
-from .sensors import (Action, Bounds, ObstacleMap, SensorState,
-                      detection_probability, enumerate_actions, expected_pd,
-                      generate_measurements)
-from .simulate import (BatchResult, RunMetrics, StepRecord, generate_truth,
-                       run_batch, run_comparison, run_episode, summarise,
-                       write_metrics_csv, write_summary_json)
+from .planners import make_policy
+from .simulate import (BatchResult, run_batch, run_comparison, write_metrics_csv,
+                       write_summary_json)
 
 __version__ = "0.1.0"

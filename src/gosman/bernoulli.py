@@ -113,17 +113,14 @@ def ncv_motion_model(tau: float, q: float, p_survival: float, p_birth: float,
 
 @dataclass(frozen=True)
 class LinearSensor:
-    """Linear-Gaussian measurement model z = H x + b + noise(R)."""
+    """Linear-Gaussian measurement model z = H x + noise(R)."""
 
     H: np.ndarray
     R: np.ndarray
-    b: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        b = np.zeros(self.H.shape[0]) if self.b is None else np.asarray(self.b, float)
-        object.__setattr__(self, "b", b)
 
 
 def predict(prior: BernoulliDensity, model: MotionModel) -> BernoulliDensity:
@@ -176,9 +173,9 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor
     if pred.r == 0.0 or len(pred.components) == 0:
         return pred
 
-    H, R, b = sensor.H, sensor.R, sensor.b
+    H, R = sensor.H, sensor.R
     # per-component predicted measurement terms
-    zhats = [H @ g.mean + b for g in pred.components]
+    zhats = [H @ g.mean for g in pred.components]
     Ss = [make_psd(H @ g.cov @ H.T + R) for g in pred.components]
     gains = [g.cov @ H.T @ np.linalg.inv(S) for g, S in zip(pred.components, Ss)]
 
@@ -259,12 +256,9 @@ def optimal_threshold(cov: np.ndarray, c: float,
 
 
 def position_trace(cov: np.ndarray, pos_indices: Sequence[int] = POSITION_INDICES) -> float:
-    """Trace of the covariance over the chosen state block.
-
-    pos_indices=None uses the full-state trace.
-    """
+    """Trace of the covariance over the chosen state block."""
     cov = np.asarray(cov)
-    if pos_indices is None or cov.shape[0] == len(pos_indices):
+    if cov.shape[0] == len(pos_indices):
         return float(np.trace(cov))
     idx = list(pos_indices)
     return float(np.trace(cov[np.ix_(idx, idx)]))

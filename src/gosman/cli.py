@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,8 +20,8 @@ import sys
 import numpy as np
 
 from .bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
-from .config import (OBSERVATION_MATRIX, ConfigError, PolicySpec, ScenarioConfig,
-                     load_config)
+from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, load_config,
+                     parse_config)
 from .planners import PlannerConfig, PlanningEnv, exhaustive_bellman, mcts_search
 from .sensors import Bounds, ObstacleMap
 from .simulate import run_batch, run_comparison, write_metrics_csv, write_summary_json
@@ -76,30 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    changes = {}
+    """Apply the command-line overrides and validate the result again."""
+    raw = cfg.resolved_dict()
     if args.seed is not None:
-        changes["seed"] = args.seed
+        raw["seed"] = args.seed
     if getattr(args, "runs", None) is not None:
-        changes["mc_runs"] = args.runs
-    policy = cfg.policy
-    if getattr(args, "policy", None) is not None:
-        wanted = args.policy
-        candidates = [p for p in (cfg.policy,) + cfg.policies
-                      if wanted in (p.name, p.label)]
+        raw["mc_runs"] = args.runs
+    wanted = getattr(args, "policy", None)
+    if wanted is not None:
+        candidates = [p for p in [raw["policy"]] + raw.get("policies", [])
+                      if wanted in (p["name"], p["label"])]
         if not candidates:
             raise ConfigError(f"config: no policy named or labelled {wanted!r}")
-        policy = candidates[0]
-    params = dict(policy.params)
-    if getattr(args, "budget", None) is not None and policy.name == "mcts":
-        params["budget"] = args.budget
-    if getattr(args, "discount", None) is not None and policy.name == "mcts":
-        params["discount"] = args.discount
-    if params != policy.params or policy is not cfg.policy:
-        policy = PolicySpec(policy.name, policy.label, params)
-        changes["policy"] = policy
-    if changes:
-        cfg = dataclasses.replace(cfg, **changes)
-    return cfg
+        raw["policy"] = dict(candidates[0])
+    for key in ("budget", "discount"):
+        if getattr(args, key, None) is not None:
+            raw["policy"][key] = getattr(args, key)
+    return parse_config(raw)
 
 
 def _write_resolved(cfg: ScenarioConfig, out_dir) -> None:
@@ -141,7 +133,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _oracle_scenarios(seed: int):
+def oracle_scenarios(seed: int):
     """Small planning problems with three feasible actions."""
     motion = ncv_motion_model(1.0, 5.0, 0.99, 0.1,
                               np.array([10.0, 0.0, 10.0, 0.0]),
@@ -169,7 +161,7 @@ def _cmd_oracle(args) -> int:
     discount = 0.7
     failures = 0
     skipped = 0
-    for i, density, position, env in _oracle_scenarios(seed):
+    for i, density, position, env in oracle_scenarios(seed):
         base_key = (seed, 100 + i, 0)
         n_actions = len(env.actions_from(position))
         needed = sum(n_actions ** d for d in range(1, horizon + 1))
@@ -211,8 +203,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")
     return 2

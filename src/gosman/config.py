@@ -113,8 +113,9 @@ class ScenarioConfig:
     filter_pd_samples: int
 
     @property
-    def pos_indices(self):
-        return (0, 2) if self.trace_block == "position" else None
+    def trace_indices(self) -> tuple:
+        """State components whose covariance trace enters the costs."""
+        return (0, 2) if self.trace_block == "position" else (0, 1, 2, 3)
 
     @property
     def clutter_intensity(self) -> float:
@@ -128,16 +129,14 @@ class ScenarioConfig:
     def obstacle_map(self) -> ObstacleMap:
         return ObstacleMap(tuple(np.asarray(p) for p in self.obstacles))
 
-    def planning_env(self, pd_samples: int = 1000) -> PlanningEnv:
+    def planning_env(self) -> PlanningEnv:
         return PlanningEnv(
             motion=self.motion_model(), obstacles=self.obstacle_map(),
             bounds=self.bounds, fov_radius=self.fov_radius,
             step_size=self.step_size, num_actions=self.num_actions,
             p_detect=self.p_detect, H=OBSERVATION_MATRIX,
             r_low=self.r_low, r_high=self.r_high, c=self.gospa_c,
-            noise_classes=self.noise_classes,
-            pos_indices=(0, 2) if self.trace_block == "position" else (0, 1, 2, 3),
-            pd_samples=pd_samples)
+            noise_classes=self.noise_classes, pos_indices=self.trace_indices)
 
     def resolved_dict(self) -> dict:
         """Round-trippable echo of the configuration with defaults filled in."""
@@ -183,9 +182,9 @@ class ScenarioConfig:
 _POLICY_PARAMS = {
     "ns": set(),
     "gd": set(),
-    "kl": {"detect_only"},
+    "kl": set(),
     "mcts": {"horizon", "discount", "exploration", "budget", "rollout_depth",
-             "pd_samples", "root_rule", "rollout"},
+             "pd_samples", "rollout"},
 }
 
 
@@ -212,9 +211,6 @@ def _parse_policy(data, path) -> PolicySpec:
             _integer(params["rollout_depth"], path + ".rollout_depth", low=1)
         if "pd_samples" in params:
             _integer(params["pd_samples"], path + ".pd_samples", low=1)
-        if "root_rule" in params:
-            _require(params["root_rule"] in ("mean", "visits"),
-                     path + ".root_rule", "must be 'mean' or 'visits'")
         if "rollout" in params:
             _require(params["rollout"] in ("random", "exhaustive"),
                      path + ".rollout", "must be 'random' or 'exhaustive'")

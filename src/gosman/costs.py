@@ -14,14 +14,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bernoulli import BernoulliDensity, Gaussian, LinearSensor, make_psd, position_trace
+from .bernoulli import (BernoulliDensity, Gaussian, LinearSensor, optimal_threshold,
+                        position_trace)
 from .gospa import POSITION_INDICES
-
-
-class PredictedMeasurement(NamedTuple):
-    p_detect_event: float
-    zhat: np.ndarray
-    S: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -37,16 +32,6 @@ class HypothesisPair:
     detect_r: float
     detect: Gaussian
     p_detect_event: float
-
-
-def predicted_measurement_density(pred: BernoulliDensity, sensor: LinearSensor,
-                                  pd_bar: float) -> PredictedMeasurement:
-    """Predicted measurement mean/covariance and detection-event probability."""
-    _require_single(pred)
-    g = pred.components[0]
-    zhat = sensor.H @ g.mean + sensor.b
-    S = make_psd(sensor.H @ g.cov @ sensor.H.T + sensor.R)
-    return PredictedMeasurement(pd_bar * pred.r, zhat, S)
 
 
 def pseudo_update(pred: BernoulliDensity, sensor: LinearSensor,
@@ -91,8 +76,7 @@ def msgospa_cost_at_threshold(threshold: float, r: float, cov: np.ndarray, c: fl
 def msgospa_bound(r: float, cov: np.ndarray, c: float,
                   pos_indices: Sequence[int] = POSITION_INDICES) -> BoundResult:
     """Upper bound on the MSGOSPA error at the optimal detection threshold."""
-    tr = position_trace(cov, pos_indices)
-    threshold = 1.0 / (2.0 - min(2.0 * tr / (c * c), 1.0))
+    threshold = optimal_threshold(cov, c, pos_indices)
     return BoundResult(msgospa_cost_at_threshold(threshold, r, cov, c, pos_indices),
                        threshold)
 
@@ -106,22 +90,18 @@ def node_cost(pair: HypothesisPair, c: float,
     return (1.0 - p) * miss + p * detect
 
 
-def merge_hypotheses(pair: HypothesisPair, include_spread: bool = False) -> BernoulliDensity:
+def merge_hypotheses(pair: HypothesisPair) -> BernoulliDensity:
     """Moment-match the two branches into one Bernoulli-Gaussian.
 
-    The default merge combines r, mean and covariance linearly with the
-    detection-event weights; ``include_spread`` adds the mean-spread term
-    of a full moment match (zero whenever the branch means coincide).
+    r, mean and covariance combine linearly with the detection-event
+    weights. The mean-spread term of a full moment match is zero because
+    both branches share the predicted mean.
     """
     w1 = pair.p_detect_event
     w0 = 1.0 - w1
     r = w0 * pair.miss_r + w1 * pair.detect_r
     mean = w0 * pair.miss.mean + w1 * pair.detect.mean
     cov = w0 * pair.miss.cov + w1 * pair.detect.cov
-    if include_spread:
-        d0 = (pair.miss.mean - mean)[:, None]
-        d1 = (pair.detect.mean - mean)[:, None]
-        cov = cov + w0 * d0 @ d0.T + w1 * d1 @ d1.T
     return BernoulliDensity(min(r, 1.0), np.array([1.0]), (Gaussian(mean, cov),))
 
 

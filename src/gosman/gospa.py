@@ -11,7 +11,6 @@ parts. States may be 2-D positions or 4-D [px, vx, py, vy] vectors; for
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +18,6 @@ from scipy.optimize import linear_sum_assignment
 
 # default positional components of a [px, vx, py, vy] state
 POSITION_INDICES = (0, 2)
-
-# switch from exhaustive enumeration to the rectangular assignment solver
-_ENUMERATION_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -48,16 +44,11 @@ def _positions(elements: Sequence[np.ndarray], pos_indices) -> np.ndarray:
     return arr[:, list(pos_indices)]
 
 
-def gospa(X, Y, c: float, p: int = 2,
+def gospa(X, Y, c: float,
           pos_indices: Sequence[int] = POSITION_INDICES) -> GospaResult:
-    """GOSPA distance between target sets X and Y with decomposition.
-
-    Only p=2 is supported; the parameter exists to reserve the signature.
-    """
+    """GOSPA distance between target sets X and Y with decomposition."""
     if c <= 0:
         raise ValueError(f"cutoff c must be positive, got {c}")
-    if p != 2:
-        raise ValueError(f"only p=2 is supported, got p={p}")
     xs = _positions(X, pos_indices)
     ys = _positions(Y, pos_indices)
     if len(xs) and len(ys) and xs.shape[1] != ys.shape[1]:
@@ -71,10 +62,11 @@ def gospa(X, Y, c: float, p: int = 2,
         return GospaResult(miss + false, 0.0, miss, false, 0)
 
     d2 = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
-    if min(n, m) <= _ENUMERATION_LIMIT:
-        pairs = _best_assignment_enumerated(d2, c)
-    else:
-        pairs = _best_assignment_lsa(d2, c)
+    # optimal rectangular assignment with the cutoff folded into the cost;
+    # pairs at distance >= c are cheaper left unassigned
+    c2 = c * c
+    rows, cols = linear_sum_assignment(np.minimum(d2, c2))
+    pairs = [(i, j) for i, j in zip(rows, cols) if d2[i, j] < c2]
 
     loc = float(sum(d2[i, j] for i, j in pairs))
     k = len(pairs)
@@ -83,42 +75,17 @@ def gospa(X, Y, c: float, p: int = 2,
     return GospaResult(loc + missed + false, loc, missed, false, k)
 
 
-def _best_assignment_enumerated(d2: np.ndarray, c: float):
-    """Exhaustive search over all partial assignments.
-
-    Returns the optimal pair list with pairs at distance >= c dropped
-    (assigning them never lowers the total).
-    """
-    n, m = d2.shape
-    c2 = c * c
-    best_cost = (n + m) * 0.5 * c2
-    best_pairs: list = []
-    rows = range(n)
-    cols = list(range(m))
-    for k in range(1, min(n, m) + 1):
-        for rsub in combinations(rows, k):
-            for csub in permutations(cols, k):
-                loc = sum(d2[i, j] for i, j in zip(rsub, csub))
-                cost = loc + (n + m - 2 * k) * 0.5 * c2
-                if cost < best_cost - 1e-15:
-                    best_cost = cost
-                    best_pairs = [(i, j) for i, j in zip(rsub, csub)]
-    return [(i, j) for i, j in best_pairs if d2[i, j] < c2]
-
-
-def _best_assignment_lsa(d2: np.ndarray, c: float):
-    """Optimal rectangular assignment with the cutoff folded into the cost."""
-    c2 = c * c
-    cost = np.minimum(d2, c2)
-    rows, cols = linear_sum_assignment(cost)
-    return [(i, j) for i, j in zip(rows, cols) if d2[i, j] < c2]
-
-
 @dataclass(frozen=True)
 class RmsGospaSeries:
-    """RMS-GOSPA aggregated over a (runs x steps) grid of results."""
+    """RMS-GOSPA aggregated over a (runs x steps) grid of results.
+
+    ``overall``, ``loc``, ``missed`` and ``false`` pool every run and step.
+    """
 
     overall: float
+    loc: float
+    missed: float
+    false: float
     per_step: np.ndarray
     loc_per_step: np.ndarray
     missed_per_step: np.ndarray
@@ -133,7 +100,7 @@ def rms_gospa(per_run_results: Sequence[Sequence[GospaResult]]) -> RmsGospaSerie
     """Root mean square GOSPA over Monte Carlo runs.
 
     ``per_run_results`` is rectangular: one row per run, one column per
-    time-step, all computed with identical c and p.
+    time-step, all computed with identical c.
     """
     if len(per_run_results) == 0 or len(per_run_results[0]) == 0:
         raise ValueError("empty result grid")
@@ -147,6 +114,9 @@ def rms_gospa(per_run_results: Sequence[Sequence[GospaResult]]) -> RmsGospaSerie
     false = np.array([[g.false_sq for g in row] for row in per_run_results])
     return RmsGospaSeries(
         overall=float(np.sqrt(total.mean())),
+        loc=float(np.sqrt(loc.mean())),
+        missed=float(np.sqrt(missed.mean())),
+        false=float(np.sqrt(false.mean())),
         per_step=np.sqrt(total.mean(axis=0)),
         loc_per_step=np.sqrt(loc.mean(axis=0)),
         missed_per_step=np.sqrt(missed.mean(axis=0)),

@@ -20,8 +20,8 @@ identical numbers.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class PlanningEnv:
     r_high: float
     c: float
     noise_classes: Optional[tuple] = None
-    pos_indices: Sequence[int] = POSITION_INDICES
+    pos_indices: Sequence[int] = POSITION_INDICES   # covariance trace block of the costs
     pd_samples: int = 1000
 
     def sensor_at(self, position) -> SensorState:
@@ -69,8 +69,7 @@ class PlanningEnv:
 
     def expected_pd_at(self, component: Gaussian, position, key: tuple) -> float:
         rng = streams.stream(*key)
-        return expected_pd(component, self.sensor_at(position), self.pd_samples,
-                           rng, self.pos_indices)
+        return expected_pd(component, self.sensor_at(position), self.pd_samples, rng)
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class PlannerConfig:
     budget: int = 10
     rollout_depth: int = 10
     pd_samples: int = 1000
-    root_rule: str = "mean"          # or "visits"
     rollout: str = "random"          # or "exhaustive" (oracle mode)
 
     def __post_init__(self):
@@ -262,11 +260,7 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
                                          tree_rng, base_key)
         backpropagate(node, delta, backup)
 
-    children = sorted(root.children, key=lambda ch: ch.action.id)
-    if cfg.root_rule == "visits":
-        best = max(children, key=lambda ch: (ch.visits, -ch.action.id))
-    else:
-        best = max(children, key=lambda ch: (ch.mean_reward, -ch.action.id))
+    best = max(root.children, key=lambda ch: (ch.mean_reward, -ch.action.id))
     return MctsResult(best.action, best.mean_reward, root)
 
 
@@ -326,7 +320,7 @@ def _random_rollout(env, node, depth_limit, discount, tree_rng, base_key) -> flo
 def nearest_sensor_plan(root_density: BernoulliDensity, sensor_position,
                         env: PlanningEnv) -> Action:
     """Move to the feasible action closest to the predicted positional mean."""
-    idx = list(env.pos_indices)
+    idx = list(POSITION_INDICES)
     mean = root_density.top_component.mean[idx] if root_density.components else \
         np.asarray(sensor_position, dtype=float)
     best = None
@@ -369,7 +363,7 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
 
 
 def kl_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
-            base_key: tuple = (0,), detect_only: bool = False) -> Action:
+            base_key: tuple = (0,)) -> Action:
     """Maximise the expected information gain over the two observation branches."""
     g_pred = root_density.components[0]
     best = None
@@ -380,13 +374,10 @@ def kl_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
         pair = pseudo_update(root_density, env.sensor_model(action), pd_bar)
         kl_detect = kl_bernoulli_gaussian(pair.detect_r, pair.detect,
                                           root_density.r, g_pred)
-        if detect_only:
-            score = kl_detect
-        else:
-            kl_miss = kl_bernoulli_gaussian(pair.miss_r, pair.miss,
-                                            root_density.r, g_pred)
-            p1 = pair.p_detect_event
-            score = (1.0 - p1) * kl_miss + p1 * kl_detect
+        kl_miss = kl_bernoulli_gaussian(pair.miss_r, pair.miss,
+                                        root_density.r, g_pred)
+        p1 = pair.p_detect_event
+        score = (1.0 - p1) * kl_miss + p1 * kl_detect
         if score > best_score + 1e-15:
             best_score = score
             best = action
@@ -394,74 +385,35 @@ def kl_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
 
 
 # ---------------------------------------------------------------------------
-# policy objects used by the simulator
+# policies used by the simulator
 
 
+@dataclass
 class Policy:
-    name = "policy"
+    """A named ``plan(predicted, sensor_position, step_key) -> Action``.
 
-    def plan(self, predicted: BernoulliDensity, sensor_position,
-             step_key: tuple) -> Action:
-        raise NotImplementedError
+    ``plan`` is a plain attribute so callers may wrap it.
+    """
 
-
-class NearestSensorPolicy(Policy):
-    name = "ns"
-
-    def __init__(self, env: PlanningEnv):
-        self.env = env
-
-    def plan(self, predicted, sensor_position, step_key):
-        return nearest_sensor_plan(predicted, sensor_position, self.env)
-
-
-class MyopicGospaPolicy(Policy):
-    name = "gd"
-
-    def __init__(self, env: PlanningEnv):
-        self.env = env
-
-    def plan(self, predicted, sensor_position, step_key):
-        return myopic_plan(predicted, sensor_position, self.env, step_key)
-
-
-class KlPolicy(Policy):
-    name = "kl"
-
-    def __init__(self, env: PlanningEnv, detect_only: bool = False):
-        self.env = env
-        self.detect_only = detect_only
-
-    def plan(self, predicted, sensor_position, step_key):
-        return kl_plan(predicted, sensor_position, self.env, step_key,
-                       self.detect_only)
-
-
-class MctsPolicy(Policy):
-    name = "mcts"
-
-    def __init__(self, env: PlanningEnv, cfg: PlannerConfig):
-        self.env = env
-        self.cfg = cfg
-
-    def plan(self, predicted, sensor_position, step_key):
-        return mcts_plan(predicted, sensor_position, self.env, self.cfg, step_key)
+    name: str
+    plan: Callable
 
 
 def make_policy(spec: dict, env: PlanningEnv) -> Policy:
     """Build a policy from a config mapping with a ``name`` field."""
-    spec = dict(spec)
-    name = spec.pop("name")
-    spec.pop("label", None)
+    name = spec["name"]
     if name == "ns":
-        return NearestSensorPolicy(env)
-    if name == "gd":
-        return MyopicGospaPolicy(env)
-    if name == "kl":
-        return KlPolicy(env, detect_only=bool(spec.pop("detect_only", False)))
-    if name == "mcts":
-        cfg = PlannerConfig(**spec)
+        plan = lambda pred, pos, key: nearest_sensor_plan(pred, pos, env)
+    elif name == "gd":
+        plan = lambda pred, pos, key: myopic_plan(pred, pos, env, key)
+    elif name == "kl":
+        plan = lambda pred, pos, key: kl_plan(pred, pos, env, key)
+    elif name == "mcts":
+        cfg = PlannerConfig(**{k: v for k, v in spec.items()
+                               if k not in ("name", "label")})
         if cfg.pd_samples != env.pd_samples:
-            env = PlanningEnv(**{**env.__dict__, "pd_samples": cfg.pd_samples})
-        return MctsPolicy(env, cfg)
-    raise ValueError(f"unknown policy name: {name!r}")
+            env = replace(env, pd_samples=cfg.pd_samples)
+        plan = lambda pred, pos, key: mcts_plan(pred, pos, env, cfg, key)
+    else:
+        raise ValueError(f"unknown policy name: {name!r}")
+    return Policy(name, plan)

@@ -30,11 +30,6 @@ class Bounds:
     def contains(self, p) -> bool:
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
-    @property
-    def centre(self) -> np.ndarray:
-        return np.array([0.5 * (self.xmin + self.xmax),
-                         0.5 * (self.ymin + self.ymax)])
-
 
 @dataclass(frozen=True)
 class SensorState:
@@ -52,10 +47,6 @@ class SensorState:
             raise ValueError("invalid sensor parameters")
         if not 0.0 <= self.p_detect <= 1.0:
             raise ValueError(f"p_detect out of [0, 1]: {self.p_detect}")
-
-    def at(self, position) -> "SensorState":
-        return SensorState(np.asarray(position, dtype=float), self.fov_radius,
-                           self.step_size, self.num_actions, self.p_detect)
 
     @property
     def fov_area(self) -> float:
@@ -192,16 +183,14 @@ def noise_matrix(noise_class: str, r_low: float, r_high: float) -> np.ndarray:
 
 def generate_measurements(truth, sensor: SensorState, H: np.ndarray, R: np.ndarray,
                           clutter_rate: float, rng: np.random.Generator,
-                          bias: Optional[np.ndarray] = None,
                           pos_indices: Sequence[int] = POSITION_INDICES) -> list:
     """Target detection (within FOV) plus Poisson clutter uniform in the FOV."""
     measurements = []
-    b = np.zeros(H.shape[0]) if bias is None else np.asarray(bias, dtype=float)
     for x in truth:
         pd = detection_probability(x, sensor, pos_indices)
         if pd > 0.0 and rng.random() < pd:
             noise = rng.multivariate_normal(np.zeros(H.shape[0]), R)
-            measurements.append(H @ np.asarray(x, dtype=float) + b + noise)
+            measurements.append(H @ np.asarray(x, dtype=float) + noise)
     n_clutter = rng.poisson(clutter_rate)
     if n_clutter > 0:
         for pt in _uniform_disc(sensor.position, sensor.fov_radius, n_clutter, rng):

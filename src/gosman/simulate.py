@@ -119,7 +119,6 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     policy = make_policy({"name": policy_spec.name, **policy_spec.params}, env)
     motion = cfg.motion_model()
     truth = generate_truth(cfg, run)
-    pos_indices = cfg.pos_indices
 
     posterior = empty_density()
     sensor_position = np.asarray(cfg.initial_position, dtype=float)
@@ -142,13 +141,11 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
 
         meas_rng = streams.stream(cfg.seed, run, t, streams.MEASUREMENT)
         Z = generate_measurements(truth[t], sensor, model.H, model.R,
-                                  cfg.clutter_rate, meas_rng,
-                                  pos_indices=pos_indices or (0, 2))
+                                  cfg.clutter_rate, meas_rng)
 
         if pred.components:
             pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
-            pd_bar = sum(w * expected_pd(g, sensor, cfg.filter_pd_samples, pd_rng,
-                                         pos_indices or (0, 2))
+            pd_bar = sum(w * expected_pd(g, sensor, cfg.filter_pd_samples, pd_rng)
                          for w, g in zip(pred.weights, pred.components))
             pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
             posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
@@ -156,9 +153,8 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
             posterior = pred
         posterior = reduce(posterior, cfg.filter_max_components, cfg.filter_prune)
 
-        estimate = extract_estimate(posterior, cfg.gospa_c, pos_indices)
-        g = gospa(truth[t], estimate, cfg.gospa_c,
-                  pos_indices=pos_indices or (0, 2))
+        estimate = extract_estimate(posterior, cfg.gospa_c, cfg.trace_indices)
+        g = gospa(truth[t], estimate, cfg.gospa_c)
         records.append(StepRecord(
             step=t, gospa=g, action_id=action.id,
             sensor_position=(float(sensor_position[0]), float(sensor_position[1])),
@@ -222,17 +218,14 @@ def write_metrics_csv(path, batches: Sequence[BatchResult]) -> None:
 
 def summarise(cfg: ScenarioConfig, batches: Sequence[BatchResult]) -> dict:
     policies = {}
+    steps = cfg.duration * cfg.mc_runs
     for batch in batches:
-        steps = cfg.duration * cfg.mc_runs
-        sq = np.array([[g.total_sq for g in r.gospa_results] for r in batch.runs])
-        loc = np.array([[g.loc_sq for g in r.gospa_results] for r in batch.runs])
-        missed = np.array([[g.missed_sq for g in r.gospa_results] for r in batch.runs])
-        false = np.array([[g.false_sq for g in r.gospa_results] for r in batch.runs])
+        rms = batch.rms
         policies[batch.label] = {
-            "rms_gospa": float(_fmt(np.sqrt(sq.mean()))),
-            "rms_gospa_loc": float(_fmt(np.sqrt(loc.mean()))),
-            "rms_gospa_missed": float(_fmt(np.sqrt(missed.mean()))),
-            "rms_gospa_false": float(_fmt(np.sqrt(false.mean()))),
+            "rms_gospa": float(_fmt(rms.overall)),
+            "rms_gospa_loc": float(_fmt(rms.loc)),
+            "rms_gospa_missed": float(_fmt(rms.missed)),
+            "rms_gospa_false": float(_fmt(rms.false)),
             "mean_plan_seconds_per_step": float(_fmt(batch.plan_seconds / steps)),
             "total_plan_seconds": float(_fmt(batch.plan_seconds)),
             "wall_seconds": float(_fmt(batch.wall_seconds)),

@@ -16,7 +16,6 @@ MEASUREMENT = 2
 FILTER_PD = 3
 PLAN_PD = 4
 PLAN_TREE = 5
-ORACLE = 6
 
 
 def stream(*key: int) -> np.random.Generator:

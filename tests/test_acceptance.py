@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
-from gosman.config import OBSERVATION_MATRIX, load_config, parse_config
+from gosman.bernoulli import Gaussian
+from gosman.cli import oracle_scenarios
+from gosman.config import load_config, parse_config
 from gosman.costs import msgospa_bound, msgospa_cost_at_threshold
 from gosman.gospa import gospa
-from gosman.planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
-                             kl_bernoulli_gaussian, mcts_search, myopic_plan)
-from gosman.sensors import Bounds, ObstacleMap, SensorState, expected_pd
+from gosman.planners import (PlannerConfig, exhaustive_bellman, kl_bernoulli_gaussian,
+                             mcts_search, myopic_plan)
+from gosman.sensors import SensorState, expected_pd
 from gosman.simulate import run_comparison
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,32 +215,12 @@ def test_criterion_5_kl_closed_form(report):
 # criterion 6: tree search versus exhaustive planning
 
 
-def _micro_scenarios(seed=0):
-    motion = ncv_motion_model(1.0, 5.0, 0.99, 0.1,
-                              np.array([10.0, 0.0, 10.0, 0.0]),
-                              np.diag([400.0, 25.0, 400.0, 25.0]))
-    rng = np.random.default_rng(seed)
-    for i in range(10):
-        mean = np.array([rng.uniform(8, 32), rng.uniform(-2, 2),
-                         rng.uniform(8, 32), rng.uniform(-2, 2)])
-        cov = np.diag(rng.uniform([50, 10, 50, 10], [300, 40, 300, 40]))
-        density = BernoulliDensity(float(rng.uniform(0.3, 0.9)),
-                                   np.array([1.0]), (Gaussian(mean, cov),))
-        env = PlanningEnv(motion=motion, obstacles=ObstacleMap(),
-                          bounds=Bounds(0.0, 40.0, 0.0, 40.0),
-                          fov_radius=12.0, step_size=6.0, num_actions=4,
-                          p_detect=0.9, H=OBSERVATION_MATRIX,
-                          r_low=10.0, r_high=50.0, c=20.0, pd_samples=200)
-        # a position at the left edge leaves exactly three in-bounds moves
-        yield i, density, np.array([1.0, 20.0]), env
-
-
 def test_criterion_6_planner_oracle(report):
     horizon = 3
     worst_diff = 0.0
     mismatches = 0
     myopic_mismatches = 0
-    for i, density, position, env in _micro_scenarios():
+    for i, density, position, env in oracle_scenarios(0):
         key = (606, i, 0)
         n = len(env.actions_from(position))
         assert n == 3
@@ -279,6 +260,7 @@ def _post_trap_rms(batch):
     return float(np.sqrt(sq[:, TRAP_STEP:].mean()))
 
 
+@pytest.mark.slow
 def test_criterion_7_obstacle_scenario(report):
     cfg = load_config(ROOT / "configs" / "obstacle.json")
     t0 = time.perf_counter()
@@ -298,6 +280,7 @@ def test_criterion_7_obstacle_scenario(report):
            f"{elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_8_open_scenario(report):
     cfg = load_config(ROOT / "configs" / "open.json")
     batches = run_comparison(cfg, parallel=8)
@@ -335,6 +318,7 @@ def test_criterion_9_determinism(tmp_path, report):
 # criterion 10: per-step planning time ordering
 
 
+@pytest.mark.slow
 def test_criterion_10_timing_ordering(report):
     cfg = load_config(ROOT / "configs" / "obstacle.json")
     raw = cfg.resolved_dict()

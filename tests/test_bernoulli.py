@@ -171,7 +171,7 @@ def test_reduce_keeps_best_when_all_pruned():
 def test_position_trace_block():
     cov = np.diag([1.0, 2.0, 3.0, 4.0])
     assert position_trace(cov) == pytest.approx(4.0)
-    assert position_trace(cov, None) == pytest.approx(10.0)
+    assert position_trace(cov, (0, 1, 2, 3)) == pytest.approx(10.0)
     assert position_trace(np.diag([5.0, 6.0])) == pytest.approx(11.0)
 
 

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from gosman import cli
 from gosman.cli import main
 
 from test_config import minimal_config
@@ -91,6 +93,33 @@ def test_budget_and_lambda_overrides_apply_to_mcts(tmp_path):
     doc = json.loads((out / "resolved_config.json").read_text())
     assert doc["policy"]["budget"] == 2
     assert doc["policy"]["discount"] == 0.5
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--runs", "0"], "config.mc_runs: must be >= 1, got 0"),
+    (["--seed", "-1"], "config.seed: must be >= 0, got -1"),
+    (["--budget", "0"], "config.policy.budget: must be >= 1, got 0"),
+    (["--lambda", "1.5"], "config.policy.discount: must be <= 1.0, got 1.5"),
+    (["--policy", "gd", "--budget", "3"], "config.policy: unknown keys: ['budget']"),
+])
+def test_overrides_are_validated(tmp_path, capsys, override, message):
+    raw = small_raw()
+    raw["policy"] = {"name": "mcts", "budget": 4, "horizon": 2}
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)] + override) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_batch(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cli, "run_batch", failing_batch)
+    cfg = write_config(tmp_path, small_raw())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "LinAlgError: singular matrix\n"
 
 
 def test_compare_writes_combined_metrics(tmp_path, capsys):

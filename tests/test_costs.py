@@ -5,8 +5,7 @@ import pytest
 
 from gosman.bernoulli import BernoulliDensity, Gaussian, LinearSensor
 from gosman.costs import (merge_hypotheses, msgospa_bound,
-                          msgospa_cost_at_threshold, node_cost,
-                          predicted_measurement_density, pseudo_update)
+                          msgospa_cost_at_threshold, node_cost, pseudo_update)
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
@@ -19,14 +18,6 @@ def _single(r=0.6, mean=None, cov=None):
 
 def _sensor(r_val=10.0):
     return LinearSensor(H2, np.diag([r_val, r_val]))
-
-
-def test_predicted_measurement_density():
-    pred = _single(0.6)
-    pm = predicted_measurement_density(pred, _sensor(), pd_bar=0.8)
-    assert pm.p_detect_event == pytest.approx(0.48)
-    assert pm.zhat == pytest.approx([1.0, -2.0])
-    assert pm.S == pytest.approx(np.diag([50.0, 40.0]))
 
 
 def test_pseudo_update_branches():
@@ -119,10 +110,3 @@ def test_merge_linear():
     assert g.mean == pytest.approx(pred.components[0].mean)
     assert g.cov == pytest.approx((1 - w1) * pair.miss.cov + w1 * pair.detect.cov)
 
-
-def test_merge_spread_term_zero_for_equal_means():
-    pred = _single(0.6)
-    pair = pseudo_update(pred, _sensor(), pd_bar=0.8)
-    plain = merge_hypotheses(pair)
-    spread = merge_hypotheses(pair, include_spread=True)
-    assert spread.components[0].cov == pytest.approx(plain.components[0].cov)

@@ -100,8 +100,6 @@ def test_large_sets_use_assignment_solver():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         gospa([], [], c=0.0)
-    with pytest.raises(ValueError):
-        gospa([], [], c=5.0, p=1)
 
 
 def test_rms_aggregation():

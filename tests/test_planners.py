@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gosman import planners
 from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
-from gosman.planners import (MctsPolicy, PlannerConfig, PlanningEnv, TreeNode,
-                             backpropagate, evaluate_action, exhaustive_bellman,
+from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, backpropagate,
+                             evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
                              mcts_plan, mcts_search, myopic_plan,
                              nearest_sensor_plan, uct_select)
@@ -208,16 +209,34 @@ def test_kl_plan_returns_feasible_action():
     pos = np.array([35.0, 30.0])
     ids = {a.id for a in env.actions_from(pos)}
     assert kl_plan(pred, pos, env, base_key=(2,)).id in ids
-    assert kl_plan(pred, pos, env, base_key=(2,), detect_only=True).id in ids
 
 
-def test_make_policy_dispatch():
+def test_make_policy_dispatch(monkeypatch):
     env = _env()
-    assert make_policy({"name": "ns"}, env).name == "ns"
-    assert make_policy({"name": "gd"}, env).name == "gd"
-    assert make_policy({"name": "kl", "detect_only": True}, env).name == "kl"
-    pol = make_policy({"name": "mcts", "budget": 3, "pd_samples": 50}, env)
-    assert isinstance(pol, MctsPolicy)
-    assert pol.env.pd_samples == 50
+    pred = _density()
+    pos = np.array([35.0, 30.0])
+    key = (2,)
+    expected = {"ns": nearest_sensor_plan(pred, pos, env),
+                "gd": myopic_plan(pred, pos, env, key),
+                "kl": kl_plan(pred, pos, env, key)}
+    for name, action in expected.items():
+        pol = make_policy({"name": name}, env)
+        assert pol.name == name
+        assert pol.plan(pred, pos, key).id == action.id
+
+    # the mcts policy plans with its own PD sample count, not the env's
+    seen = []
+    real = planners.expected_pd
+
+    def recording(g, sensor, num_samples, *args):
+        seen.append(num_samples)
+        return real(g, sensor, num_samples, *args)
+
+    monkeypatch.setattr(planners, "expected_pd", recording)
+    pol = make_policy({"name": "mcts", "label": "mcts-3", "budget": 3,
+                       "pd_samples": 50}, env)
+    assert pol.name == "mcts"
+    pol.plan(pred, pos, key)
+    assert seen and set(seen) == {50}
     with pytest.raises(ValueError):
         make_policy({"name": "nope"}, env)

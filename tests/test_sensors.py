@@ -20,7 +20,6 @@ def test_bounds_contains():
     b = Bounds(0.0, 10.0, 0.0, 20.0)
     assert b.contains((0.0, 0.0)) and b.contains((10.0, 20.0))
     assert not b.contains((-0.1, 5.0))
-    assert b.centre == pytest.approx([5.0, 10.0])
 
 
 def test_sensor_validation():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gosman import simulate
 from gosman.config import TruthEpisode, parse_config
 from gosman.simulate import (generate_truth, run_batch, run_comparison,
                              run_episode, summarise, write_metrics_csv,
@@ -76,6 +77,39 @@ def test_run_episode_shape_and_determinism():
         assert s1.action_id == s2.action_id
         assert s1.sensor_position == s2.sensor_position
     assert all(0.0 <= s.existence <= 1.0 for s in m1.steps)
+
+
+def test_run_episode_plans_through_policy_attribute(monkeypatch):
+    # callers may wrap the ``plan`` of the policy make_policy returns
+    cfg = small_config()
+    calls = []
+    real_make_policy = simulate.make_policy
+
+    def wrapping_make_policy(spec, env):
+        policy = real_make_policy(spec, env)
+        plan = policy.plan
+
+        def recorded(predicted, sensor_position, step_key):
+            calls.append((step_key, len(predicted.components)))
+            return plan(predicted, sensor_position, step_key)
+
+        policy.plan = recorded
+        return policy
+
+    monkeypatch.setattr(simulate, "make_policy", wrapping_make_policy)
+    m = run_episode(cfg, cfg.policy, run=1)
+    assert len(m.steps) == cfg.duration
+    assert [k for k, _ in calls] == [(cfg.seed, 1, t) for t in range(cfg.duration)]
+    assert all(n == 1 for _, n in calls)
+
+
+def test_full_trace_block_runs_every_policy():
+    cfg = small_config(duration=5, gospa={"c": 20.0, "trace_block": "full"},
+                       policies=[{"name": "ns"}, {"name": "gd"}, {"name": "kl"},
+                                 {"name": "mcts", "budget": 3, "horizon": 2}])
+    assert cfg.trace_indices == (0, 1, 2, 3)
+    for batch in run_comparison(cfg):
+        assert len(batch.runs) == cfg.mc_runs and batch.rms.overall >= 0.0
 
 
 def test_sensor_moves_at_most_one_step():
