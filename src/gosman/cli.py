@@ -20,9 +20,10 @@ import sys
 import numpy as np
 
 from .bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
-from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, load_config,
-                     parse_config)
-from .planners import PlannerConfig, PlanningEnv, exhaustive_bellman, mcts_search
+from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, default_label,
+                     load_config, parse_config)
+from .planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
+                       exhaustive_max_horizon, mcts_search)
 from .sensors import Bounds, ObstacleMap
 from .simulate import run_batch, run_comparison, write_metrics_csv, write_summary_json
 
@@ -88,9 +89,13 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         if not candidates:
             raise ConfigError(f"config: no policy named or labelled {wanted!r}")
         raw["policy"] = dict(candidates[0])
+    policy = raw["policy"]
+    if getattr(args, "budget", None) is not None and \
+            policy["label"] == default_label(policy):
+        del policy["label"]   # a default label: parse_config names the new budget
     for key in ("budget", "discount"):
         if getattr(args, key, None) is not None:
-            raw["policy"][key] = getattr(args, key)
+            policy[key] = getattr(args, key)
     return parse_config(raw)
 
 
@@ -151,29 +156,35 @@ def oracle_scenarios(seed: int):
         env = PlanningEnv(motion=motion, obstacles=ObstacleMap(), bounds=bounds,
                           fov_radius=12.0, step_size=6.0, num_actions=4,
                           p_detect=0.9, H=OBSERVATION_MATRIX,
-                          r_low=10.0, r_high=50.0, c=20.0, pd_samples=200)
+                          r_low=10.0, r_high=50.0, c=20.0)
         yield i, density, position, env
 
 
 def _cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else 0
     horizon = args.horizon
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
+    scenarios = list(oracle_scenarios(seed))
+    # the scenarios share the sensor position and world, so one tree size fits all
+    n_actions = len(scenarios[0][3].actions_from(scenarios[0][2]))
+    max_horizon = exhaustive_max_horizon(n_actions)
+    if not 1 <= horizon <= max_horizon:
+        raise ConfigError(f"--horizon: must be between 1 and {max_horizon}, "
+                          f"got {horizon}")
+    needed = sum(n_actions ** d for d in range(1, horizon + 1))
+    if args.budget < needed:
+        raise ConfigError(f"--budget: must be >= {needed}, the tree size at "
+                          f"horizon {horizon}, got {args.budget}")
     discount = 0.7
     failures = 0
-    skipped = 0
-    for i, density, position, env in oracle_scenarios(seed):
+    for i, density, position, env in scenarios:
         base_key = (seed, 100 + i, 0)
-        n_actions = len(env.actions_from(position))
-        needed = sum(n_actions ** d for d in range(1, horizon + 1))
-        if args.budget < needed:
-            print(f"scenario {i}: skip (budget {args.budget} < tree size {needed})")
-            skipped += 1
-            continue
         oracle_action, oracle_value = exhaustive_bellman(
-            density, position, env, horizon, discount, base_key)
+            density, position, env, horizon, discount)
         cfg = PlannerConfig(horizon=horizon, discount=discount, exploration=0.05,
                             budget=args.budget, rollout_depth=horizon,
-                            pd_samples=env.pd_samples, rollout="exhaustive")
+                            rollout="exhaustive")
         result = mcts_search(density, position, env, cfg, base_key)
         diff = abs(-result.value - oracle_value)
         ok = result.action.id == oracle_action.id and diff <= 1e-9
@@ -184,30 +195,23 @@ def _cmd_oracle(args) -> int:
     if failures:
         print(f"{failures} scenario(s) failed", file=sys.stderr)
         return 2
-    print(f"all checked scenarios agree ({skipped} skipped)")
+    print("all checked scenarios agree")
     return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"run": _cmd_run, "compare": _cmd_compare,
+                "validate": _cmd_validate, "oracle": _cmd_oracle}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

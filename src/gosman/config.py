@@ -136,7 +136,7 @@ class ScenarioConfig:
             step_size=self.step_size, num_actions=self.num_actions,
             p_detect=self.p_detect, H=OBSERVATION_MATRIX,
             r_low=self.r_low, r_high=self.r_high, c=self.gospa_c,
-            noise_classes=self.noise_classes, pos_indices=self.trace_indices)
+            noise_classes=self.noise_classes, trace_indices=self.trace_indices)
 
     def resolved_dict(self) -> dict:
         """Round-trippable echo of the configuration with defaults filled in."""
@@ -184,7 +184,7 @@ _POLICY_PARAMS = {
     "gd": set(),
     "kl": set(),
     "mcts": {"horizon", "discount", "exploration", "budget", "rollout_depth",
-             "pd_samples", "rollout"},
+             "rollout"},
 }
 
 
@@ -199,25 +199,26 @@ def _parse_policy(data, path) -> PolicySpec:
     _require(not unknown, path, f"unknown keys: {sorted(unknown)}")
     params = {k: v for k, v in data.items() if k not in ("name", "label")}
     if name == "mcts":
-        if "horizon" in params:
-            _integer(params["horizon"], path + ".horizon", low=1)
-        if "budget" in params:
-            _integer(params["budget"], path + ".budget", low=1)
+        for key in ("horizon", "budget", "rollout_depth"):
+            if key in params:
+                _integer(params[key], f"{path}.{key}", low=1)
         if "discount" in params:
             _number(params["discount"], path + ".discount", low=0.0, high=1.0)
         if "exploration" in params:
             _number(params["exploration"], path + ".exploration", low=0.0)
-        if "rollout_depth" in params:
-            _integer(params["rollout_depth"], path + ".rollout_depth", low=1)
-        if "pd_samples" in params:
-            _integer(params["pd_samples"], path + ".pd_samples", low=1)
         if "rollout" in params:
             _require(params["rollout"] in ("random", "exhaustive"),
                      path + ".rollout", "must be 'random' or 'exhaustive'")
     label = data.get("label")
     if label is None:
-        label = name if name != "mcts" else f"mcts-{data.get('budget', 10)}"
+        label = default_label(data)
     return PolicySpec(name=name, label=str(label), params=params)
+
+
+def default_label(policy: dict) -> str:
+    """Label of a raw policy block that sets none: its name, plus the mcts budget."""
+    name = policy["name"]
+    return name if name != "mcts" else f"mcts-{policy.get('budget', 10)}"
 
 
 def parse_config(data: dict) -> ScenarioConfig:

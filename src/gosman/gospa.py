@@ -87,13 +87,6 @@ class RmsGospaSeries:
     missed: float
     false: float
     per_step: np.ndarray
-    loc_per_step: np.ndarray
-    missed_per_step: np.ndarray
-    false_per_step: np.ndarray
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.per_step)
 
 
 def rms_gospa(per_run_results: Sequence[Sequence[GospaResult]]) -> RmsGospaSeries:
@@ -118,7 +111,4 @@ def rms_gospa(per_run_results: Sequence[Sequence[GospaResult]]) -> RmsGospaSerie
         missed=float(np.sqrt(missed.mean())),
         false=float(np.sqrt(false.mean())),
         per_step=np.sqrt(total.mean(axis=0)),
-        loc_per_step=np.sqrt(loc.mean(axis=0)),
-        missed_per_step=np.sqrt(missed.mean(axis=0)),
-        false_per_step=np.sqrt(false.mean(axis=0)),
     )

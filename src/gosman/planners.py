@@ -13,14 +13,15 @@ belief dynamics serves as the correctness oracle for the MCTS: with an
 exhausting budget and exhaustive continuation rollouts the tree search
 recovers the exact optimum.
 
-All detection probabilities used inside planning are importance-sampling
-estimates whose random streams are keyed by the action path, so any two
-planners evaluating the same action sequence in the same decision see
-identical numbers.
+Planning is a pure function of belief and action: the detection
+probability of each action comes from a deterministic rule
+(``sensors.gaussian_disc_pd``), so every planner that evaluates the same
+action from the same belief sees the same number. Only the tree search
+draws random numbers, from its own stream.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,9 +32,10 @@ from .bernoulli import (BernoulliDensity, Gaussian, LinearSensor, MotionModel,
 from .costs import merge_hypotheses, node_cost, pseudo_update
 from .gospa import POSITION_INDICES
 from .sensors import (Action, Bounds, ObstacleMap, SensorState, enumerate_actions,
-                      expected_pd, noise_matrix)
-
-_BELLMAN_LEAF_GUARD = 1_000_000
+                      noise_matrix)
+# planning looks its PD up under this module-level name, which the layer
+# tracer (perfbench/tracer.py) wraps as the planning PD
+from .sensors import gaussian_disc_pd as expected_pd
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ class PlanningEnv:
     r_high: float
     c: float
     noise_classes: Optional[tuple] = None
-    pos_indices: Sequence[int] = POSITION_INDICES   # covariance trace block of the costs
-    pd_samples: int = 1000
+    trace_indices: Sequence[int] = POSITION_INDICES   # covariance block the costs trace
 
     def sensor_at(self, position) -> SensorState:
         return SensorState(position, self.fov_radius, self.step_size,
@@ -67,10 +68,6 @@ class PlanningEnv:
         return LinearSensor(self.H, noise_matrix(action.noise_class,
                                                  self.r_low, self.r_high))
 
-    def expected_pd_at(self, component: Gaussian, position, key: tuple) -> float:
-        rng = streams.stream(*key)
-        return expected_pd(component, self.sensor_at(position), self.pd_samples, rng)
-
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -79,7 +76,6 @@ class PlannerConfig:
     exploration: float = 0.05
     budget: int = 10
     rollout_depth: int = 10
-    pd_samples: int = 1000
     rollout: str = "random"          # or "exhaustive" (oracle mode)
 
     def __post_init__(self):
@@ -91,25 +87,12 @@ class PlannerConfig:
             raise ValueError("exploration must be non-negative")
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    cost: float
-    merged: BernoulliDensity
-    pd_bar: float
-
-
-def evaluate_action(env: PlanningEnv, pred: BernoulliDensity, action: Action,
-                    base_key: tuple, path: tuple) -> StepOutcome:
-    """Cost and merged posterior of taking one action from a predicted density.
-
-    ``path`` is the action-id sequence from the planning root; it keys
-    the detection-probability sample stream.
-    """
-    pd_key = base_key + (streams.PLAN_PD,) + path
-    pd_bar = env.expected_pd_at(pred.components[0], action.target_position, pd_key)
+def evaluate_action(env: PlanningEnv, pred: BernoulliDensity,
+                    action: Action) -> Tuple[float, BernoulliDensity]:
+    """Cost and merged posterior of taking one action from a predicted density."""
+    pd_bar = expected_pd(pred.components[0], env.sensor_at(action.target_position))
     pair = pseudo_update(pred, env.sensor_model(action), pd_bar)
-    cost = node_cost(pair, env.c, env.pos_indices)
-    return StepOutcome(cost, merge_hypotheses(pair), pd_bar)
+    return node_cost(pair, env.c, env.trace_indices), merge_hypotheses(pair)
 
 
 def _predict_reduced(bel: BernoulliDensity, motion: MotionModel) -> BernoulliDensity:
@@ -121,9 +104,16 @@ def _predict_reduced(bel: BernoulliDensity, motion: MotionModel) -> BernoulliDen
 # exhaustive Bellman oracle and the myopic special case
 
 
+def exhaustive_max_horizon(n_actions: int) -> int:
+    """Longest horizon whose (action, detection) tree has at most a million leaves."""
+    horizon = 0
+    while (2 * max(n_actions, 1)) ** (horizon + 1) <= 1_000_000:
+        horizon += 1
+    return horizon
+
+
 def exhaustive_bellman(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
-                       horizon: int, discount: float,
-                       base_key: tuple = (0,)) -> Tuple[Action, float]:
+                       horizon: int, discount: float) -> Tuple[Action, float]:
     """Exact finite-horizon minimisation over all action sequences.
 
     Both observation hypotheses are weighted into each step's expected
@@ -131,38 +121,34 @@ def exhaustive_bellman(root_density: BernoulliDensity, sensor_position, env: Pla
     the optimum is found by plain enumeration. Guarded against horizons
     whose full expansion exceeds a million leaves.
     """
-    n_actions = max(len(env.actions_from(sensor_position)), 1)
-    if (n_actions ** horizon) * (2 ** horizon) > _BELLMAN_LEAF_GUARD:
+    if horizon > exhaustive_max_horizon(len(env.actions_from(sensor_position))):
         raise ValueError("exhaustive horizon too large to enumerate")
     value, action = _bellman_value(env, root_density, sensor_position, horizon,
-                                   discount, base_key, path=(), predicted=True)
+                                   discount, predicted=True)
     return action, value
 
 
-def _bellman_value(env, bel, position, steps_left, discount, base_key, path,
-                   predicted):
+def _bellman_value(env, bel, position, steps_left, discount, predicted):
     if steps_left == 0:
         return 0.0, None
     pred = bel if predicted else _predict_reduced(bel, env.motion)
-    best_value = math.inf
-    best_action = None
+    best_value, best_action = math.inf, None
     for action in sorted(env.actions_from(position), key=lambda a: a.id):
-        out = evaluate_action(env, pred, action, base_key, path + (action.id,))
-        tail, _ = _bellman_value(env, out.merged, action.target_position,
-                                 steps_left - 1, discount, base_key,
-                                 path + (action.id,), predicted=False)
-        value = out.cost + discount * tail
+        cost, merged = evaluate_action(env, pred, action)
+        tail, _ = _bellman_value(env, merged, action.target_position,
+                                 steps_left - 1, discount, predicted=False)
+        value = cost + discount * tail
         if value < best_value - 1e-15:
             best_value = value
             best_action = action
     return best_value, best_action
 
 
-def myopic_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
-                base_key: tuple = (0,)) -> Action:
+def myopic_plan(root_density: BernoulliDensity, sensor_position,
+                env: PlanningEnv) -> Action:
     """Minimise the one-step expected MSGOSPA bound."""
     action, _ = exhaustive_bellman(root_density, sensor_position, env,
-                                   horizon=1, discount=0.0, base_key=base_key)
+                                   horizon=1, discount=0.0)
     return action
 
 
@@ -174,11 +160,11 @@ class TreeNode:
     """One tree node: an action taken at a specific depth."""
 
     __slots__ = ("action", "parent", "children", "untried", "depth",
-                 "sensor_position", "density", "immediate_cost", "pd_bar",
-                 "visits", "mean_reward", "path")
+                 "sensor_position", "density", "immediate_cost",
+                 "visits", "mean_reward")
 
     def __init__(self, action, parent, depth, sensor_position, density,
-                 immediate_cost, pd_bar, untried, path):
+                 immediate_cost, untried):
         self.action = action
         self.parent = parent
         self.children = []
@@ -187,16 +173,13 @@ class TreeNode:
         self.sensor_position = sensor_position
         self.density = density          # merged posterior (root: predicted)
         self.immediate_cost = immediate_cost
-        self.pd_bar = pd_bar
         self.visits = 0
         self.mean_reward = 0.0
-        self.path = path
 
 
 def uct_select(node: TreeNode, exploration: float) -> TreeNode:
     """UCT child choice; ties broken by lowest action id."""
-    best = None
-    best_score = -math.inf
+    best, best_score = None, -math.inf
     for child in sorted(node.children, key=lambda ch: ch.action.id):
         score = child.mean_reward + 2.0 * exploration * math.sqrt(
             math.log(node.visits) / child.visits)
@@ -237,8 +220,7 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
     depth_limit = min(cfg.horizon, cfg.rollout_depth)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position, density=root_density,
-                    immediate_cost=0.0, pd_bar=None,
-                    untried=env.actions_from(sensor_position), path=())
+                    immediate_cost=0.0, untried=env.actions_from(sensor_position))
     tree_rng = streams.stream(*base_key, streams.PLAN_TREE)
     backup = "max" if cfg.rollout == "exhaustive" else "mean"
 
@@ -247,41 +229,34 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
         while not node.untried and node.children:
             node = uct_select(node, cfg.exploration)
         if node.untried:
-            node = _expand(env, node, tree_rng, base_key, depth_limit)
+            node = _expand(env, node, tree_rng, depth_limit)
         delta = -_path_cost(node, cfg.discount)
         if node.depth < depth_limit:
             if cfg.rollout == "exhaustive":
                 tail, _ = _bellman_value(env, node.density, node.sensor_position,
                                          depth_limit - node.depth, cfg.discount,
-                                         base_key, node.path, predicted=False)
+                                         predicted=False)
                 delta -= cfg.discount ** node.depth * tail
             else:
                 delta -= _random_rollout(env, node, depth_limit, cfg.discount,
-                                         tree_rng, base_key)
+                                         tree_rng)
         backpropagate(node, delta, backup)
 
     best = max(root.children, key=lambda ch: (ch.mean_reward, -ch.action.id))
     return MctsResult(best.action, best.mean_reward, root)
 
 
-def mcts_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
-              cfg: PlannerConfig, base_key: tuple = (0,)) -> Action:
-    return mcts_search(root_density, sensor_position, env, cfg, base_key).action
-
-
-def _expand(env, node, tree_rng, base_key, depth_limit):
+def _expand(env, node, tree_rng, depth_limit):
     idx = int(tree_rng.integers(len(node.untried)))
     action = node.untried.pop(idx)
     pred = node.density if node.depth == 0 else _predict_reduced(node.density,
                                                                 env.motion)
-    path = node.path + (action.id,)
-    out = evaluate_action(env, pred, action, base_key, path)
+    cost, merged = evaluate_action(env, pred, action)
     depth = node.depth + 1
     untried = env.actions_from(action.target_position) if depth < depth_limit else []
     child = TreeNode(action=action, parent=node, depth=depth,
-                     sensor_position=action.target_position, density=out.merged,
-                     immediate_cost=out.cost, pd_bar=out.pd_bar,
-                     untried=untried, path=path)
+                     sensor_position=action.target_position, density=merged,
+                     immediate_cost=cost, untried=untried)
     node.children.append(child)
     return child
 
@@ -295,20 +270,16 @@ def _path_cost(node: TreeNode, discount: float) -> float:
     return total
 
 
-def _random_rollout(env, node, depth_limit, discount, tree_rng, base_key) -> float:
+def _random_rollout(env, node, depth_limit, discount, tree_rng) -> float:
     """Discounted cost of a random action continuation (nodes not kept)."""
-    density = node.density
-    position = node.sensor_position
-    path = node.path
+    density, position = node.density, node.sensor_position
     total = 0.0
     for depth in range(node.depth, depth_limit):
         pred = _predict_reduced(density, env.motion)
         actions = env.actions_from(position)
         action = actions[int(tree_rng.integers(len(actions)))]
-        path = path + (action.id,)
-        out = evaluate_action(env, pred, action, base_key, path)
-        total += discount ** depth * out.cost
-        density = out.merged
+        cost, density = evaluate_action(env, pred, action)
+        total += discount ** depth * cost
         position = action.target_position
     return total
 
@@ -323,8 +294,7 @@ def nearest_sensor_plan(root_density: BernoulliDensity, sensor_position,
     idx = list(POSITION_INDICES)
     mean = root_density.top_component.mean[idx] if root_density.components else \
         np.asarray(sensor_position, dtype=float)
-    best = None
-    best_d = math.inf
+    best, best_d = None, math.inf
     for action in sorted(env.actions_from(sensor_position), key=lambda a: a.id):
         d = float(np.linalg.norm(action.target_position - mean))
         if d < best_d - 1e-12:
@@ -362,15 +332,13 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
     return existence + predicted_r * gauss
 
 
-def kl_plan(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
-            base_key: tuple = (0,)) -> Action:
+def kl_plan(root_density: BernoulliDensity, sensor_position,
+            env: PlanningEnv) -> Action:
     """Maximise the expected information gain over the two observation branches."""
     g_pred = root_density.components[0]
-    best = None
-    best_score = -math.inf
+    best, best_score = None, -math.inf
     for action in sorted(env.actions_from(sensor_position), key=lambda a: a.id):
-        pd_key = base_key + (streams.PLAN_PD, action.id)
-        pd_bar = env.expected_pd_at(g_pred, action.target_position, pd_key)
+        pd_bar = expected_pd(g_pred, env.sensor_at(action.target_position))
         pair = pseudo_update(root_density, env.sensor_model(action), pd_bar)
         kl_detect = kl_bernoulli_gaussian(pair.detect_r, pair.detect,
                                           root_density.r, g_pred)
@@ -405,15 +373,13 @@ def make_policy(spec: dict, env: PlanningEnv) -> Policy:
     if name == "ns":
         plan = lambda pred, pos, key: nearest_sensor_plan(pred, pos, env)
     elif name == "gd":
-        plan = lambda pred, pos, key: myopic_plan(pred, pos, env, key)
+        plan = lambda pred, pos, key: myopic_plan(pred, pos, env)
     elif name == "kl":
-        plan = lambda pred, pos, key: kl_plan(pred, pos, env, key)
+        plan = lambda pred, pos, key: kl_plan(pred, pos, env)
     elif name == "mcts":
         cfg = PlannerConfig(**{k: v for k, v in spec.items()
                                if k not in ("name", "label")})
-        if cfg.pd_samples != env.pd_samples:
-            env = replace(env, pd_samples=cfg.pd_samples)
-        plan = lambda pred, pos, key: mcts_plan(pred, pos, env, cfg, key)
+        plan = lambda pred, pos, key: mcts_search(pred, pos, env, cfg, key).action
     else:
         raise ValueError(f"unknown policy name: {name!r}")
     return Policy(name, plan)

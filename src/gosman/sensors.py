@@ -4,10 +4,13 @@ A mobile sensor with a circular field of view moves a fixed step each
 time-step, choosing between actions evenly distributed on a circle.
 Obstacles (convex polygons) block sensor movement but not targets or
 measurements. The expected probability of detection of a Gaussian
-predicted density is estimated by importance sampling with uniform
-samples drawn inside the FOV disc.
+predicted density has two estimators: the filter's ``expected_pd``
+samples uniformly inside the FOV disc (importance sampling), and the
+planners' ``gaussian_disc_pd`` is a deterministic rule along rays from
+the Gaussian mean.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -174,6 +177,42 @@ def expected_pd(pred: Gaussian, sensor: SensorState, num_samples: int,
     dens = _gaussian_pdf_many(pts, mean, cov)
     est = sensor.p_detect * sensor.fov_area * float(dens.mean())
     return float(np.clip(est, 0.0, sensor.p_detect))
+
+
+_RAY_ANGLES = 2.0 * np.pi * (np.arange(1024) + 0.5) / 1024
+_RAY_COS, _RAY_SIN = np.cos(_RAY_ANGLES), np.sin(_RAY_ANGLES)
+
+
+def gaussian_disc_pd(pred: Gaussian, sensor: SensorState) -> float:
+    """Deterministic expected detection probability of a Gaussian.
+
+    p_detect times the Gaussian positional mass inside the FOV disc
+    (DiDonato & Jarnagin 1961). With the position whitened, x = m + L u,
+    a ray u = t (cos a, sin a) meets the disc on an interval [t1, t2]
+    given by a quadratic, over which the standard normal's radial mass is
+    exactly exp(-t1^2/2) - exp(-t2^2/2); the mass is the mean of that
+    over 1024 evenly spaced angles. Its error is at most about
+    p_detect / 1024, reached when a thin Gaussian sits on the FOV edge.
+    """
+    i, j = POSITION_INDICES if pred.dim > 2 else (0, 1)
+    cov = pred.cov
+    l11 = math.sqrt(cov[i, i])
+    l21 = cov[i, j] / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(cov[j, j] - l21 * l21, 0.0))
+    dx = sensor.position[0] - pred.mean[i]
+    dy = sensor.position[1] - pred.mean[j]
+    ex = l11 * _RAY_COS
+    ey = l21 * _RAY_COS + l22 * _RAY_SIN
+    # |t e - d|^2 <= R^2  <=>  a t^2 - 2 b t + c <= 0; flooring a makes a
+    # degenerate direction, which maps onto the mean, hit all or nothing
+    a = np.maximum(ex * ex + ey * ey, 1e-300)
+    b = ex * dx + ey * dy
+    c = dx * dx + dy * dy - sensor.fov_radius ** 2
+    root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    t1 = np.maximum((b - root) / a, 0.0)
+    t2 = np.maximum((b + root) / a, 0.0)
+    mass = np.exp(-0.5 * t1 * t1) * -np.expm1(-0.5 * (t2 - t1) * (t2 + t1))
+    return float(min(sensor.p_detect * max(mass.mean(), 0.0), sensor.p_detect))
 
 
 def noise_matrix(noise_class: str, r_low: float, r_high: float) -> np.ndarray:

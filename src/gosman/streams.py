@@ -3,9 +3,7 @@
 All randomness in a simulation flows from a single master seed. Every
 consumer derives its own counter-based (Philox) stream from a tuple key,
 so Monte Carlo runs are reproducible, order-independent and safe to
-execute in parallel. Keys also include the planner's action path so that
-policies that evaluate the same action sequence see identical detection
-probability estimates (variance pairing across policies).
+execute in parallel.
 """
 
 import numpy as np
@@ -14,7 +12,6 @@ import numpy as np
 TRUTH = 1
 MEASUREMENT = 2
 FILTER_PD = 3
-PLAN_PD = 4
 PLAN_TREE = 5
 
 

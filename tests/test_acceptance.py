@@ -226,19 +226,18 @@ def test_criterion_6_planner_oracle(report):
         assert n == 3
         budget = sum(n ** d for d in range(1, horizon + 1))
         oracle_action, oracle_value = exhaustive_bellman(
-            density, position, env, horizon, 0.7, key)
+            density, position, env, horizon, 0.7)
         cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                            rollout_depth=horizon, pd_samples=env.pd_samples,
-                            rollout="exhaustive")
+                            rollout_depth=horizon, rollout="exhaustive")
         got = mcts_search(density, position, env, cfg, key)
         worst_diff = max(worst_diff, abs(-got.value - oracle_value))
         if got.action.id != oracle_action.id:
             mismatches += 1
 
         zero = PlannerConfig(horizon=horizon, discount=0.0, budget=budget,
-                             rollout_depth=horizon, pd_samples=env.pd_samples)
+                             rollout_depth=horizon)
         if mcts_search(density, position, env, zero, key).action.id != \
-                myopic_plan(density, position, env, key).id:
+                myopic_plan(density, position, env).id:
             myopic_mismatches += 1
     ok = mismatches == 0 and worst_diff <= 1e-9 and myopic_mismatches == 0
     report(6, ok, f"10 scenarios, value diff {worst_diff:.2e}, "

@@ -95,6 +95,26 @@ def test_budget_and_lambda_overrides_apply_to_mcts(tmp_path):
     assert doc["policy"]["discount"] == 0.5
 
 
+def test_budget_override_relabels_default_mcts_label(tmp_path):
+    raw = small_raw()
+    raw["policy"] = {"name": "mcts", "label": "mcts-4", "budget": 4, "horizon": 2}
+    raw["duration"] = 3
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--runs", "1",
+                 "--budget", "3"]) == 0
+    assert list(json.loads((out / "summary.json").read_text())["policies"]) == ["mcts-3"]
+    rows = (out / "metrics.csv").read_text().splitlines()
+    policy = rows[0].split(",").index("policy")
+    assert {row.split(",")[policy] for row in rows[1:]} == {"mcts-3"}
+
+    raw["policy"]["label"] = "deep"
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--out", str(out), "--runs", "1",
+                 "--budget", "3"]) == 0
+    assert list(json.loads((out / "summary.json").read_text())["policies"]) == ["deep"]
+
+
 @pytest.mark.parametrize("override, message", [
     (["--runs", "0"], "config.mc_runs: must be >= 1, got 0"),
     (["--seed", "-1"], "config.seed: must be >= 0, got -1"),
@@ -155,11 +175,29 @@ def test_validate_bad_config_exits_1(tmp_path, capsys):
     assert "config.gospa.c" in capsys.readouterr().err
 
 
-def test_oracle_skips_when_budget_too_small(capsys):
-    assert main(["oracle", "--budget", "1", "--horizon", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "skip" in out
-    assert "FAIL" not in out
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["--horizon", "0"], "--horizon: must be between 1 and 7, got 0"),
+    (["--horizon", "8", "--budget", "10000"],
+     "--horizon: must be between 1 and 7, got 8"),
+    (["--budget", "0"], "--budget: must be >= 39, the tree size at horizon 3, got 0"),
+    (["--budget", "11", "--horizon", "2"],
+     "--budget: must be >= 12, the tree size at horizon 2, got 11"),
+], ids=["negative-seed", "zero-horizon", "horizon-over-guard", "budget-below-tree",
+        "budget-one-short"])
+def test_oracle_rejects_invalid_flags(capsys, flags, message):
+    assert main(["oracle"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+def test_policy_pd_samples_is_rejected(tmp_path, capsys):
+    # planning no longer samples its PD; only filter.pd_samples remains
+    raw = small_raw()
+    raw["policy"] = {"name": "mcts", "pd_samples": 3000}
+    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == "config.policy: unknown keys: ['pd_samples']\n"
 
 
 def test_oracle_small_horizon_passes(capsys):

@@ -108,7 +108,7 @@ def test_rms_aggregation():
     series = rms_gospa([[g1, g2], [g2, g1]])
     assert series.overall == pytest.approx(np.sqrt(10.0))
     assert series.per_step[0] == pytest.approx(np.sqrt(10.0))
-    assert series.num_steps == 2
+    assert len(series.per_step) == 2
 
 
 def test_rms_rejects_ragged_grid():

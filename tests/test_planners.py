@@ -3,27 +3,25 @@
 import numpy as np
 import pytest
 
-from gosman import planners
 from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
 from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, backpropagate,
                              evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
-                             mcts_plan, mcts_search, myopic_plan,
+                             mcts_search, myopic_plan,
                              nearest_sensor_plan, uct_select)
 from gosman.sensors import Bounds, ObstacleMap
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
 
-def _env(num_actions=4, pd_samples=200):
+def _env(num_actions=4):
     motion = ncv_motion_model(1.0, 2.0, 0.99, 0.05,
                               np.array([25.0, 0.0, 25.0, 0.0]),
                               np.diag([200.0, 25.0, 200.0, 25.0]))
     return PlanningEnv(motion=motion, obstacles=ObstacleMap(),
                        bounds=Bounds(0.0, 100.0, 0.0, 100.0),
                        fov_radius=12.0, step_size=6.0, num_actions=num_actions,
-                       p_detect=0.9, H=H2, r_low=10.0, r_high=50.0, c=20.0,
-                       pd_samples=pd_samples)
+                       p_detect=0.9, H=H2, r_low=10.0, r_high=50.0, c=20.0)
 
 
 def _density(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
@@ -31,25 +29,16 @@ def _density(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
     return BernoulliDensity(r, np.array([1.0]), (g,))
 
 
-def test_evaluate_action_deterministic_per_path():
-    env = _env()
-    pred = _density()
-    action = env.actions_from(np.array([30.0, 30.0]))[0]
-    a = evaluate_action(env, pred, action, (1, 2, 3), (0,))
-    b = evaluate_action(env, pred, action, (1, 2, 3), (0,))
-    c = evaluate_action(env, pred, action, (1, 2, 3), (1,))
-    assert a.cost == b.cost and a.pd_bar == b.pd_bar
-    assert a.pd_bar != c.pd_bar
-
-
 def test_evaluate_action_cost_matches_components():
     env = _env()
     pred = _density()
     action = env.actions_from(np.array([30.0, 30.0]))[0]
-    out = evaluate_action(env, pred, action, (9,), (action.id,))
-    assert out.cost >= 0.0
-    assert 0.0 <= out.pd_bar <= env.p_detect
-    assert len(out.merged.components) == 1
+    cost, merged = evaluate_action(env, pred, action)
+    assert cost >= 0.0
+    assert len(merged.components) == 1
+    # a pure function of belief and action
+    again, merged_again = evaluate_action(env, pred, action)
+    assert again == cost and merged_again.r == merged.r
 
 
 def test_exhaustive_bellman_prefers_covering_action():
@@ -57,7 +46,7 @@ def test_exhaustive_bellman_prefers_covering_action():
     pred = _density(r=0.8)
     # sensor east of the target: moving west (action id 2) points at it
     action, value = exhaustive_bellman(pred, np.array([40.0, 30.0]), env,
-                                       horizon=2, discount=0.7, base_key=(5,))
+                                       horizon=2, discount=0.7)
     assert action.id == 2
     assert value > 0.0
 
@@ -73,9 +62,8 @@ def test_myopic_is_horizon_one_bellman():
     env = _env()
     pred = _density()
     pos = np.array([40.0, 30.0])
-    a = myopic_plan(pred, pos, env, base_key=(5,))
-    b, _ = exhaustive_bellman(pred, pos, env, horizon=1, discount=0.0,
-                              base_key=(5,))
+    a = myopic_plan(pred, pos, env)
+    b, _ = exhaustive_bellman(pred, pos, env, horizon=1, discount=0.0)
     assert a.id == b.id
 
 
@@ -84,13 +72,11 @@ def test_mcts_matches_oracle_with_exhausting_budget():
     pred = _density()
     pos = np.array([30.0, 30.0])
     horizon = 2
-    oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon,
-                                                     0.7, base_key=(11,))
+    oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon, 0.7)
     n = len(env.actions_from(pos))
     budget = sum(n ** d for d in range(1, horizon + 1))
     cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                        rollout_depth=horizon, pd_samples=env.pd_samples,
-                        rollout="exhaustive")
+                        rollout_depth=horizon, rollout="exhaustive")
     result = mcts_search(pred, pos, env, cfg, base_key=(11,))
     assert result.action.id == oracle_action.id
     assert -result.value == pytest.approx(oracle_value, abs=1e-9)
@@ -100,10 +86,9 @@ def test_mcts_zero_discount_matches_myopic():
     env = _env()
     pred = _density()
     pos = np.array([40.0, 30.0])
-    cfg = PlannerConfig(horizon=5, discount=0.0, budget=10,
-                        pd_samples=env.pd_samples)
-    a = mcts_plan(pred, pos, env, cfg, base_key=(13,))
-    b = myopic_plan(pred, pos, env, base_key=(13,))
+    cfg = PlannerConfig(horizon=5, discount=0.0, budget=10)
+    a = mcts_search(pred, pos, env, cfg, base_key=(13,)).action
+    b = myopic_plan(pred, pos, env)
     assert a.id == b.id
 
 
@@ -111,8 +96,7 @@ def test_mcts_deterministic_for_fixed_key():
     env = _env()
     pred = _density()
     pos = np.array([35.0, 30.0])
-    cfg = PlannerConfig(horizon=4, discount=0.7, budget=15,
-                        pd_samples=env.pd_samples)
+    cfg = PlannerConfig(horizon=4, discount=0.7, budget=15)
     r1 = mcts_search(pred, pos, env, cfg, base_key=(21, 0, 7))
     r2 = mcts_search(pred, pos, env, cfg, base_key=(21, 0, 7))
     assert r1.action.id == r2.action.id
@@ -122,8 +106,7 @@ def test_mcts_deterministic_for_fixed_key():
 def test_mcts_budget_counts_expansions():
     env = _env()
     pred = _density()
-    cfg = PlannerConfig(horizon=4, discount=0.7, budget=7,
-                        pd_samples=env.pd_samples)
+    cfg = PlannerConfig(horizon=4, discount=0.7, budget=7)
     result = mcts_search(pred, np.array([35.0, 30.0]), env, cfg, base_key=(3,))
 
     def count(node):
@@ -143,15 +126,15 @@ def test_planner_config_validation():
 
 
 def test_backpropagate_rules():
-    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, None, [], ())
-    child = TreeNode(None, root, 1, np.zeros(2), None, 1.0, None, [], (0,))
+    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, [])
+    child = TreeNode(None, root, 1, np.zeros(2), None, 1.0, [])
     root.children.append(child)
     backpropagate(child, -2.0)
     backpropagate(child, -4.0)
     assert child.mean_reward == pytest.approx(-3.0)
     assert child.visits == 2 and root.visits == 2
 
-    other = TreeNode(None, None, 1, np.zeros(2), None, 1.0, None, [], (1,))
+    other = TreeNode(None, None, 1, np.zeros(2), None, 1.0, [])
     backpropagate(other, -5.0, rule="max")
     backpropagate(other, -1.0, rule="max")
     backpropagate(other, -9.0, rule="max")
@@ -159,10 +142,10 @@ def test_backpropagate_rules():
 
 
 def test_uct_prefers_unvisited_balance():
-    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, None, [], ())
+    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, [])
     for i, (reward, visits) in enumerate([(-1.0, 10), (-1.0, 1)]):
         ch = TreeNode(type("A", (), {"id": i})(), root, 1, np.zeros(2), None,
-                      0.0, None, [], (i,))
+                      0.0, [])
         ch.mean_reward = reward
         ch.visits = visits
         root.children.append(ch)
@@ -208,35 +191,22 @@ def test_kl_plan_returns_feasible_action():
     pred = _density()
     pos = np.array([35.0, 30.0])
     ids = {a.id for a in env.actions_from(pos)}
-    assert kl_plan(pred, pos, env, base_key=(2,)).id in ids
+    assert kl_plan(pred, pos, env).id in ids
 
 
-def test_make_policy_dispatch(monkeypatch):
+def test_make_policy_dispatch():
     env = _env()
     pred = _density()
     pos = np.array([35.0, 30.0])
     key = (2,)
     expected = {"ns": nearest_sensor_plan(pred, pos, env),
-                "gd": myopic_plan(pred, pos, env, key),
-                "kl": kl_plan(pred, pos, env, key)}
+                "gd": myopic_plan(pred, pos, env),
+                "kl": kl_plan(pred, pos, env),
+                "mcts": mcts_search(pred, pos, env, PlannerConfig(budget=3), key).action}
+    spec = {"mcts": {"label": "mcts-3", "budget": 3}}
     for name, action in expected.items():
-        pol = make_policy({"name": name}, env)
+        pol = make_policy({"name": name, **spec.get(name, {})}, env)
         assert pol.name == name
         assert pol.plan(pred, pos, key).id == action.id
-
-    # the mcts policy plans with its own PD sample count, not the env's
-    seen = []
-    real = planners.expected_pd
-
-    def recording(g, sensor, num_samples, *args):
-        seen.append(num_samples)
-        return real(g, sensor, num_samples, *args)
-
-    monkeypatch.setattr(planners, "expected_pd", recording)
-    pol = make_policy({"name": "mcts", "label": "mcts-3", "budget": 3,
-                       "pd_samples": 50}, env)
-    assert pol.name == "mcts"
-    pol.plan(pred, pos, key)
-    assert seen and set(seen) == {50}
     with pytest.raises(ValueError):
         make_policy({"name": "nope"}, env)

@@ -1,12 +1,15 @@
 """Unit tests for sensor geometry, detection and measurement generation."""
 
+import inspect
+
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 from gosman.bernoulli import Gaussian
 from gosman.sensors import (Action, Bounds, HIGH_NOISE, LOW_NOISE, ObstacleMap,
                             SensorState, detection_probability,
-                            enumerate_actions, expected_pd,
+                            enumerate_actions, expected_pd, gaussian_disc_pd,
                             generate_measurements, noise_matrix)
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -114,6 +117,67 @@ def test_expected_pd_clamped_to_p_detect():
     assert expected_pd(tight, s, 50, rng) <= 0.9
     with pytest.raises(ValueError):
         expected_pd(tight, s, 0, rng)
+
+
+def test_gaussian_disc_pd_matches_noncentral_chi2():
+    # isotropic: the mass of the disc is a noncentral chi-square cdf
+    R = 10.0
+    s = _sensor(position=(50.0, -20.0), fov=R, pd=0.9)
+    worst = 0.0
+    for sigma in R * np.logspace(-3, 2, 16):
+        offsets = np.concatenate([np.linspace(0.0, 4.0 * R, 17),
+                                  R + sigma * np.array([-2.0, -0.5, 0.0, 0.5, 2.0])])
+        # angles across one ray spacing, so edges fall on and between rays
+        for angle in np.linspace(0.0, 2.0 * np.pi / 1024, 5) + 0.3:
+            for dist in offsets:
+                mean = s.position + dist * np.array([np.cos(angle), np.sin(angle)])
+                got = gaussian_disc_pd(Gaussian(mean, sigma ** 2 * np.eye(2)), s)
+                want = 0.9 * ncx2.cdf((R / sigma) ** 2, 2, (dist / sigma) ** 2)
+                worst = max(worst, abs(got - want))
+    assert worst <= 2e-3
+
+
+def test_gaussian_disc_pd_matches_monte_carlo():
+    rng = np.random.default_rng(7)
+    R = 10.0
+    s = _sensor(position=(5.0, 5.0), fov=R, pd=0.9)
+    draws = 2_000_000
+    for rho in (-0.99, -0.5, 0.0, 0.5, 0.99):
+        for ratio in (1.0, 10.0):
+            s1 = R * rng.uniform(0.2, 2.0)
+            s2 = s1 / ratio
+            cov = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            mean = s.position + rng.uniform(0.0, 2.0 * R) * np.array(
+                [np.cos(angle), np.sin(angle)])
+            x = mean + rng.standard_normal((draws, 2)) @ np.linalg.cholesky(cov).T
+            want = 0.9 * np.mean(np.sum((x - s.position) ** 2, axis=1) <= R * R)
+            assert gaussian_disc_pd(Gaussian(mean, cov), s) == \
+                pytest.approx(want, abs=2e-3)
+
+
+def test_gaussian_disc_pd_range_and_purity():
+    assert "rng" not in inspect.signature(gaussian_disc_pd).parameters
+    covs = [np.diag([1e-12, 1e-12]), np.diag([1e8, 1e8]), np.diag([1e-6, 1e6]),
+            np.diag([0.0, 4.0]), np.array([[4.0, 4.0], [4.0, 4.0]])]
+    means = [np.zeros(2), np.array([10.0, 0.0]), np.array([7.0, -7.0]),
+             np.array([1e4, 0.0])]
+    for pd in (0.0, 0.4, 1.0):
+        s = _sensor(fov=10.0, pd=pd)
+        for cov in covs:
+            for mean in means:
+                g = Gaussian(mean, cov)
+                got = gaussian_disc_pd(g, s)
+                assert isinstance(got, float) and 0.0 <= got <= pd
+                assert gaussian_disc_pd(g, s) == got
+    s = _sensor(fov=10.0, pd=0.9)
+    assert gaussian_disc_pd(Gaussian(np.zeros(2), np.diag([1e-8, 1e-8])), s) == \
+        pytest.approx(0.9, abs=1e-12)
+    assert gaussian_disc_pd(Gaussian(np.array([1e4, 0.0]), np.eye(2)), s) == 0.0
+    # four-dimensional states use the position block
+    g4 = Gaussian(np.array([3.0, 50.0, 4.0, -50.0]), np.diag([4.0, 1e6, 9.0, 1e6]))
+    g2 = Gaussian(np.array([3.0, 4.0]), np.diag([4.0, 9.0]))
+    assert gaussian_disc_pd(g4, s) == gaussian_disc_pd(g2, s)
 
 
 def test_noise_matrix_classes():

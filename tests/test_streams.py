@@ -22,5 +22,5 @@ def test_different_keys_differ():
 
 def test_purpose_codes_distinct():
     codes = [streams.TRUTH, streams.MEASUREMENT, streams.FILTER_PD,
-             streams.PLAN_PD, streams.PLAN_TREE]
+             streams.PLAN_TREE]
     assert len(set(codes)) == len(codes)
