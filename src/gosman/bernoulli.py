@@ -251,7 +251,11 @@ def reduce(density: BernoulliDensity, max_components: int,
 def optimal_threshold(cov: np.ndarray, c: float,
                       pos_indices: Sequence[int] = POSITION_INDICES) -> float:
     """Optimal detection threshold for the MSGOSPA-optimal set estimator."""
-    tr = position_trace(cov, pos_indices)
+    return threshold_for_trace(position_trace(cov, pos_indices), c)
+
+
+def threshold_for_trace(tr: float, c: float) -> float:
+    """Optimal detection threshold given the covariance trace ``tr``."""
     return 1.0 / (2.0 - min(2.0 * tr / (c * c), 1.0))
 
 
@@ -261,7 +265,7 @@ def position_trace(cov: np.ndarray, pos_indices: Sequence[int] = POSITION_INDICE
     if cov.shape[0] == len(pos_indices):
         return float(np.trace(cov))
     idx = list(pos_indices)
-    return float(np.trace(cov[np.ix_(idx, idx)]))
+    return float(cov[idx, idx].sum())
 
 
 def extract_estimate(density: BernoulliDensity, c: float,

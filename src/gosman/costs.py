@@ -7,56 +7,46 @@ Under these the one-step-ahead posterior has exactly two branches
 (misdetection / detection) and the mean square GOSPA error of the
 optimal-threshold set estimator admits a cheap closed-form upper bound,
 which is the planning cost.
+
+A planning belief is a plain ``(r, mean, cov)`` tuple: these functions
+take and return arrays, and the validated ``BernoulliDensity`` exists
+only at the filter boundary. Covariances are symmetrised where the
+filter's constructors would do it, without their eigenvalue check;
+``tests/test_planning_kernel.py`` checks at the extremes that r stays
+in [0, 1] and covariances stay positive semi-definite.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .bernoulli import (BernoulliDensity, Gaussian, LinearSensor, optimal_threshold,
-                        position_trace)
+from .bernoulli import position_trace, threshold_for_trace
 from .gospa import POSITION_INDICES
 
 
-@dataclass(frozen=True)
-class HypothesisPair:
-    """Misdetection / detection pseudo-posteriors for one action.
+def pseudo_update(cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Detection-branch covariance of the two-branch pseudo-update.
 
-    Both branches share the predicted mean: the ideal measurement is
-    placed exactly at the predicted measurement.
+    The ideal measurement sits at the predicted mean, so both branches
+    keep the predicted mean and the misdetection branch keeps the
+    predicted covariance; detection applies the Kalman covariance
+    update. It depends on the noise class only, not on the detection
+    probability, so callers reuse it across actions of the same class.
     """
-
-    miss_r: float
-    miss: Gaussian
-    detect_r: float
-    detect: Gaussian
-    p_detect_event: float
-
-
-def pseudo_update(pred: BernoulliDensity, sensor: LinearSensor,
-                  pd_bar: float) -> HypothesisPair:
-    """Two-branch pseudo-update for planning.
-
-    Misdetection keeps mean and covariance and deflates r; detection
-    keeps the mean, applies the Kalman covariance update and sets r = 1.
-    """
-    _require_single(pred)
-    g = pred.components[0]
-    H = sensor.H
-    S = H @ g.cov @ H.T + sensor.R
+    S = H @ cov @ H.T + R
     S_inv = np.linalg.inv(S)
-    P1 = g.cov - g.cov @ H.T @ S_inv @ H @ g.cov
+    P1 = cov - cov @ H.T @ S_inv @ H @ cov
+    return 0.5 * (P1 + P1.T)
 
-    denom = 1.0 - pred.r + (1.0 - pd_bar) * pred.r
-    r_miss = (1.0 - pd_bar) * pred.r / denom if denom > 0.0 else 0.0
-    return HypothesisPair(
-        miss_r=r_miss,
-        miss=g,
-        detect_r=1.0,
-        detect=Gaussian(g.mean, P1),
-        p_detect_event=pd_bar * pred.r,
-    )
+
+def branch_weights(r: float, pd_bar: float) -> Tuple[float, float]:
+    """Misdetection-branch existence and probability of the detection event.
+
+    Detection makes existence certain (r = 1).
+    """
+    denom = 1.0 - r + (1.0 - pd_bar) * r
+    r_miss = (1.0 - pd_bar) * r / denom if denom > 0.0 else 0.0
+    return r_miss, pd_bar * r
 
 
 class BoundResult(NamedTuple):
@@ -64,47 +54,46 @@ class BoundResult(NamedTuple):
     threshold: float
 
 
+def _cost_at_threshold(threshold: float, r: float, tr: float, c: float) -> float:
+    if r <= threshold:
+        return 0.5 * c * c * r
+    return 0.5 * c * c * (1.0 - r) + r * min(tr, c * c)
+
+
 def msgospa_cost_at_threshold(threshold: float, r: float, cov: np.ndarray, c: float,
                               pos_indices: Sequence[int] = POSITION_INDICES) -> float:
     """MSGOSPA upper bound of the set estimator with a given threshold."""
-    if r <= threshold:
-        return 0.5 * c * c * r
-    tr = position_trace(cov, pos_indices)
-    return 0.5 * c * c * (1.0 - r) + r * min(tr, c * c)
+    return _cost_at_threshold(threshold, r, position_trace(cov, pos_indices), c)
 
 
 def msgospa_bound(r: float, cov: np.ndarray, c: float,
                   pos_indices: Sequence[int] = POSITION_INDICES) -> BoundResult:
     """Upper bound on the MSGOSPA error at the optimal detection threshold."""
-    threshold = optimal_threshold(cov, c, pos_indices)
-    return BoundResult(msgospa_cost_at_threshold(threshold, r, cov, c, pos_indices),
-                       threshold)
+    tr = position_trace(cov, pos_indices)
+    threshold = threshold_for_trace(tr, c)
+    return BoundResult(_cost_at_threshold(threshold, r, tr, c), threshold)
 
 
-def node_cost(pair: HypothesisPair, c: float,
+def node_cost(pred: tuple, detect_cov: np.ndarray, pd_bar: float, c: float,
               pos_indices: Sequence[int] = POSITION_INDICES) -> float:
     """Expected planning cost over the two observation hypotheses."""
-    miss = msgospa_bound(pair.miss_r, pair.miss.cov, c, pos_indices).cost
-    detect = msgospa_bound(pair.detect_r, pair.detect.cov, c, pos_indices).cost
-    p = pair.p_detect_event
+    r, _, cov = pred
+    r_miss, p = branch_weights(r, pd_bar)
+    miss = msgospa_bound(r_miss, cov, c, pos_indices).cost
+    detect = msgospa_bound(1.0, detect_cov, c, pos_indices).cost
     return (1.0 - p) * miss + p * detect
 
 
-def merge_hypotheses(pair: HypothesisPair) -> BernoulliDensity:
-    """Moment-match the two branches into one Bernoulli-Gaussian.
+def merge_hypotheses(pred: tuple, detect_cov: np.ndarray, pd_bar: float) -> tuple:
+    """Moment-match the two branches into one ``(r, mean, cov)`` belief.
 
     r, mean and covariance combine linearly with the detection-event
     weights. The mean-spread term of a full moment match is zero because
-    both branches share the predicted mean.
+    both branches share the predicted mean. Both covariances are
+    symmetric, so their weighted sum is too, bit for bit.
     """
-    w1 = pair.p_detect_event
+    r, mean, cov = pred
+    r_miss, w1 = branch_weights(r, pd_bar)
     w0 = 1.0 - w1
-    r = w0 * pair.miss_r + w1 * pair.detect_r
-    mean = w0 * pair.miss.mean + w1 * pair.detect.mean
-    cov = w0 * pair.miss.cov + w1 * pair.detect.cov
-    return BernoulliDensity(min(r, 1.0), np.array([1.0]), (Gaussian(mean, cov),))
-
-
-def _require_single(density: BernoulliDensity) -> None:
-    if len(density.components) != 1:
-        raise ValueError("planning requires a single-component density")
+    return (min(w0 * r_miss + w1, 1.0), w0 * mean + w1 * mean,
+            w0 * cov + w1 * detect_cov)

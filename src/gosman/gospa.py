@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # default positional components of a [px, vx, py, vy] state
 POSITION_INDICES = (0, 2)
@@ -62,14 +61,21 @@ def gospa(X, Y, c: float,
         return GospaResult(miss + false, 0.0, miss, false, 0)
 
     d2 = np.sum((xs[:, None, :] - ys[None, :, :]) ** 2, axis=2)
-    # optimal rectangular assignment with the cutoff folded into the cost;
-    # pairs at distance >= c are cheaper left unassigned
     c2 = c * c
-    rows, cols = linear_sum_assignment(np.minimum(d2, c2))
-    pairs = [(i, j) for i, j in zip(rows, cols) if d2[i, j] < c2]
-
-    loc = float(sum(d2[i, j] for i, j in pairs))
-    k = len(pairs)
+    if min(n, m) == 1:
+        # a single element on one side: the exact assignment pairs it with
+        # its nearest partner, if that one is closer than c
+        nearest = float(d2.min())
+        loc, k = (nearest, 1) if nearest < c2 else (0.0, 0)
+    else:
+        # optimal rectangular assignment with the cutoff folded into the
+        # cost; pairs at distance >= c are cheaper left unassigned. scipy is
+        # imported here so that importing gosman does not load it
+        from scipy.optimize import linear_sum_assignment
+        rows, cols = linear_sum_assignment(np.minimum(d2, c2))
+        pairs = [(i, j) for i, j in zip(rows, cols) if d2[i, j] < c2]
+        loc = float(sum(d2[i, j] for i, j in pairs))
+        k = len(pairs)
     missed = (n - k) * half_c2
     false = (m - k) * half_c2
     return GospaResult(loc + missed + false, loc, missed, false, k)

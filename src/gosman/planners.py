@@ -18,6 +18,13 @@ probability of each action comes from a deterministic rule
 (``sensors.gaussian_disc_pd``), so every planner that evaluates the same
 action from the same belief sees the same number. Only the tree search
 draws random numbers, from its own stream.
+
+Each planner converts the filter's ``BernoulliDensity`` once, at the
+root, into a plain ``(r, mean, cov)`` belief; the inner loop works on
+such arrays only (see ``costs``). Within one decision the feasible
+actions from a sensor position are enumerated once, and the
+detection-branch covariance of a predicted belief is computed once per
+noise class. Nothing is cached across decisions.
 """
 
 import math
@@ -27,9 +34,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import streams
-from .bernoulli import (BernoulliDensity, Gaussian, LinearSensor, MotionModel,
-                        predict, reduce)
-from .costs import merge_hypotheses, node_cost, pseudo_update
+from .bernoulli import BernoulliDensity, Gaussian, LinearSensor, MotionModel
+from .costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
 from .gospa import POSITION_INDICES
 from .sensors import (Action, Bounds, ObstacleMap, SensorState, enumerate_actions,
                       noise_matrix)
@@ -87,17 +93,68 @@ class PlannerConfig:
             raise ValueError("exploration must be non-negative")
 
 
-def evaluate_action(env: PlanningEnv, pred: BernoulliDensity,
-                    action: Action) -> Tuple[float, BernoulliDensity]:
-    """Cost and merged posterior of taking one action from a predicted density."""
-    pd_bar = expected_pd(pred.components[0], env.sensor_at(action.target_position))
-    pair = pseudo_update(pred, env.sensor_model(action), pd_bar)
-    return node_cost(pair, env.c, env.trace_indices), merge_hypotheses(pair)
+def planning_belief(density: BernoulliDensity) -> tuple:
+    """The ``(r, mean, cov)`` arrays of a single-component density."""
+    if len(density.components) != 1:
+        raise ValueError("planning requires a single-component density")
+    g = density.components[0]
+    return density.r, g.mean, g.cov
 
 
-def _predict_reduced(bel: BernoulliDensity, motion: MotionModel) -> BernoulliDensity:
-    """Single-step prediction keeping only the highest-weighted component."""
-    return reduce(predict(bel, motion), max_components=1)
+def _action_table(env: PlanningEnv) -> Callable:
+    """``actions_from`` that enumerates each sensor position once.
+
+    Meant to live for one decision, so the table never outgrows it.
+    """
+    table = {}
+
+    def actions_from(position) -> list:
+        key = tuple(position)
+        actions = table.get(key)
+        if actions is None:
+            actions = table[key] = env.actions_from(position)
+        return actions
+    return actions_from
+
+
+def _detect_cov(env: PlanningEnv, cov: np.ndarray, noise_class: str) -> np.ndarray:
+    """Detection-branch covariance of ``cov`` under one noise class."""
+    return pseudo_update(cov, env.H, noise_matrix(noise_class, env.r_low, env.r_high))
+
+
+def evaluate_action(env: PlanningEnv, pred: tuple, action: Action,
+                    detect_covs: dict) -> Tuple[float, tuple]:
+    """Cost and merged posterior of taking one action from a predicted belief.
+
+    ``pred`` is ``(r, mean, cov)``; ``detect_covs`` holds its
+    detection-branch covariances by noise class and is filled on demand.
+    """
+    _, mean, cov = pred
+    pd_bar = expected_pd(mean, cov, action.target_position, env.fov_radius,
+                         env.p_detect)
+    P1 = detect_covs.get(action.noise_class)
+    if P1 is None:
+        P1 = detect_covs[action.noise_class] = _detect_cov(env, cov, action.noise_class)
+    return (node_cost(pred, P1, pd_bar, env.c, env.trace_indices),
+            merge_hypotheses(pred, P1, pd_bar))
+
+
+def _predict_reduced(bel: tuple, motion: MotionModel) -> tuple:
+    """Single-step prediction keeping only the higher-weighted component.
+
+    The predicted mixture has a birth component of weight
+    p_B (1 - r) / r' and a survivor of weight p_S r / r'; the survivor
+    wins ties.
+    """
+    r, mean, cov = bel
+    r_birth = motion.p_birth * (1.0 - r)
+    r_surv = motion.p_survival * r
+    r_pred = min(r_birth + r_surv, 1.0)
+    if r_surv < r_birth:
+        return r_pred, motion.birth.mean, motion.birth.cov
+    F = motion.F
+    cov = F @ cov @ F.T + motion.Q
+    return r_pred, F @ mean, 0.5 * (cov + cov.T)
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +178,24 @@ def exhaustive_bellman(root_density: BernoulliDensity, sensor_position, env: Pla
     the optimum is found by plain enumeration. Guarded against horizons
     whose full expansion exceeds a million leaves.
     """
-    if horizon > exhaustive_max_horizon(len(env.actions_from(sensor_position))):
-        raise ValueError("exhaustive horizon too large to enumerate")
-    value, action = _bellman_value(env, root_density, sensor_position, horizon,
-                                   discount, predicted=True)
+    actions = _action_table(env)
+    if not 1 <= horizon <= exhaustive_max_horizon(len(actions(sensor_position))):
+        raise ValueError("exhaustive horizon below 1 or too large to enumerate")
+    value, action = _bellman_value(env, actions, planning_belief(root_density),
+                                   sensor_position, horizon, discount)
     return action, value
 
 
-def _bellman_value(env, bel, position, steps_left, discount, predicted):
-    if steps_left == 0:
-        return 0.0, None
-    pred = bel if predicted else _predict_reduced(bel, env.motion)
+def _bellman_value(env, actions, pred, position, steps_left, discount):
+    """Least discounted cost of ``steps_left >= 1`` actions from a predicted belief."""
     best_value, best_action = math.inf, None
-    for action in sorted(env.actions_from(position), key=lambda a: a.id):
-        cost, merged = evaluate_action(env, pred, action)
-        tail, _ = _bellman_value(env, merged, action.target_position,
-                                 steps_left - 1, discount, predicted=False)
-        value = cost + discount * tail
+    detect_covs = {}
+    for action in actions(position):
+        value, merged = evaluate_action(env, pred, action, detect_covs)
+        if steps_left > 1:
+            tail, _ = _bellman_value(env, actions, _predict_reduced(merged, env.motion),
+                                     action.target_position, steps_left - 1, discount)
+            value += discount * tail
         if value < best_value - 1e-15:
             best_value = value
             best_action = action
@@ -160,10 +218,10 @@ class TreeNode:
     """One tree node: an action taken at a specific depth."""
 
     __slots__ = ("action", "parent", "children", "untried", "depth",
-                 "sensor_position", "density", "immediate_cost",
+                 "sensor_position", "pred", "detect_covs", "immediate_cost",
                  "visits", "mean_reward")
 
-    def __init__(self, action, parent, depth, sensor_position, density,
+    def __init__(self, action, parent, depth, sensor_position, pred,
                  immediate_cost, untried):
         self.action = action
         self.parent = parent
@@ -171,7 +229,9 @@ class TreeNode:
         self.untried = list(untried)
         self.depth = depth
         self.sensor_position = sensor_position
-        self.density = density          # merged posterior (root: predicted)
+        # predicted (r, mean, cov) the children start from; None at the depth limit
+        self.pred = pred
+        self.detect_covs = {}
         self.immediate_cost = immediate_cost
         self.visits = 0
         self.mean_reward = 0.0
@@ -218,9 +278,11 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
     """Grow a search tree within the node budget and pick the best root child."""
     sensor_position = np.asarray(sensor_position, dtype=float)
     depth_limit = min(cfg.horizon, cfg.rollout_depth)
+    actions = _action_table(env)
     root = TreeNode(action=None, parent=None, depth=0,
-                    sensor_position=sensor_position, density=root_density,
-                    immediate_cost=0.0, untried=env.actions_from(sensor_position))
+                    sensor_position=sensor_position,
+                    pred=planning_belief(root_density),
+                    immediate_cost=0.0, untried=actions(sensor_position))
     tree_rng = streams.stream(*base_key, streams.PLAN_TREE)
     backup = "max" if cfg.rollout == "exhaustive" else "mean"
 
@@ -229,33 +291,34 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
         while not node.untried and node.children:
             node = uct_select(node, cfg.exploration)
         if node.untried:
-            node = _expand(env, node, tree_rng, depth_limit)
+            node = _expand(env, actions, node, tree_rng, depth_limit)
         delta = -_path_cost(node, cfg.discount)
         if node.depth < depth_limit:
             if cfg.rollout == "exhaustive":
-                tail, _ = _bellman_value(env, node.density, node.sensor_position,
-                                         depth_limit - node.depth, cfg.discount,
-                                         predicted=False)
+                tail, _ = _bellman_value(env, actions, node.pred, node.sensor_position,
+                                         depth_limit - node.depth, cfg.discount)
                 delta -= cfg.discount ** node.depth * tail
             else:
-                delta -= _random_rollout(env, node, depth_limit, cfg.discount,
-                                         tree_rng)
+                delta -= _random_rollout(env, actions, node, depth_limit,
+                                         cfg.discount, tree_rng)
         backpropagate(node, delta, backup)
 
     best = max(root.children, key=lambda ch: (ch.mean_reward, -ch.action.id))
     return MctsResult(best.action, best.mean_reward, root)
 
 
-def _expand(env, node, tree_rng, depth_limit):
+def _expand(env, actions, node, tree_rng, depth_limit):
     idx = int(tree_rng.integers(len(node.untried)))
     action = node.untried.pop(idx)
-    pred = node.density if node.depth == 0 else _predict_reduced(node.density,
-                                                                env.motion)
-    cost, merged = evaluate_action(env, pred, action)
+    cost, merged = evaluate_action(env, node.pred, action, node.detect_covs)
     depth = node.depth + 1
-    untried = env.actions_from(action.target_position) if depth < depth_limit else []
+    if depth < depth_limit:
+        pred = _predict_reduced(merged, env.motion)
+        untried = actions(action.target_position)
+    else:
+        pred, untried = None, []
     child = TreeNode(action=action, parent=node, depth=depth,
-                     sensor_position=action.target_position, density=merged,
+                     sensor_position=action.target_position, pred=pred,
                      immediate_cost=cost, untried=untried)
     node.children.append(child)
     return child
@@ -270,17 +333,18 @@ def _path_cost(node: TreeNode, discount: float) -> float:
     return total
 
 
-def _random_rollout(env, node, depth_limit, discount, tree_rng) -> float:
+def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> float:
     """Discounted cost of a random action continuation (nodes not kept)."""
-    density, position = node.density, node.sensor_position
+    pred, detect_covs, position = node.pred, node.detect_covs, node.sensor_position
     total = 0.0
     for depth in range(node.depth, depth_limit):
-        pred = _predict_reduced(density, env.motion)
-        actions = env.actions_from(position)
-        action = actions[int(tree_rng.integers(len(actions)))]
-        cost, density = evaluate_action(env, pred, action)
+        choices = actions(position)
+        action = choices[int(tree_rng.integers(len(choices)))]
+        cost, merged = evaluate_action(env, pred, action, detect_covs)
         total += discount ** depth * cost
         position = action.target_position
+        if depth + 1 < depth_limit:
+            pred, detect_covs = _predict_reduced(merged, env.motion), {}
     return total
 
 
@@ -295,7 +359,7 @@ def nearest_sensor_plan(root_density: BernoulliDensity, sensor_position,
     mean = root_density.top_component.mean[idx] if root_density.components else \
         np.asarray(sensor_position, dtype=float)
     best, best_d = None, math.inf
-    for action in sorted(env.actions_from(sensor_position), key=lambda a: a.id):
+    for action in env.actions_from(sensor_position):
         d = float(np.linalg.norm(action.target_position - mean))
         if d < best_d - 1e-12:
             best_d = d
@@ -311,17 +375,26 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
     probability of existence; when either existence probability is
     degenerate (0 or 1) only the Gaussian term remains.
     """
-    post_cov_inv = np.linalg.inv(posterior.cov)
-    dm = posterior.mean - predicted.mean
-    sign_pred, logdet_pred = np.linalg.slogdet(predicted.cov)
-    sign_post, logdet_post = np.linalg.slogdet(posterior.cov)
+    gauss = _gaussian_kl(posterior.mean, posterior.cov, predicted.mean, predicted.cov)
+    return _bernoulli_kl(posterior_r, predicted_r, gauss)
+
+
+def _gaussian_kl(post_mean, post_cov, pred_mean, pred_cov) -> float:
+    """KL(predicted || posterior) of two Gaussians."""
+    post_cov_inv = np.linalg.inv(post_cov)
+    dm = post_mean - pred_mean
+    sign_pred, logdet_pred = np.linalg.slogdet(pred_cov)
+    sign_post, logdet_post = np.linalg.slogdet(post_cov)
     if sign_pred <= 0 or sign_post <= 0:
         raise np.linalg.LinAlgError("singular covariance in KL computation")
-    gauss = 0.5 * (float(np.trace(post_cov_inv @ predicted.cov))
-                   - (logdet_pred - logdet_post)
-                   - len(dm)
-                   + float(dm @ post_cov_inv @ dm))
+    return 0.5 * (float(np.trace(post_cov_inv @ pred_cov))
+                  - (logdet_pred - logdet_post)
+                  - len(dm)
+                  + float(dm @ post_cov_inv @ dm))
 
+
+def _bernoulli_kl(posterior_r: float, predicted_r: float, gauss: float) -> float:
+    """Bernoulli-Gaussian divergence from its Gaussian term ``gauss``."""
     eps = 1e-12
     degenerate = (min(posterior_r, predicted_r) < eps
                   or max(posterior_r, predicted_r) > 1.0 - eps)
@@ -334,17 +407,25 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
 
 def kl_plan(root_density: BernoulliDensity, sensor_position,
             env: PlanningEnv) -> Action:
-    """Maximise the expected information gain over the two observation branches."""
-    g_pred = root_density.components[0]
+    """Maximise the expected information gain over the two observation branches.
+
+    Both branches keep the predicted mean, and the misdetection branch its
+    covariance, so the Gaussian terms depend on the noise class only: they
+    are computed once per class, not once per action.
+    """
+    r, mean, cov = planning_belief(root_density)
+    gauss_miss = _gaussian_kl(mean, cov, mean, cov)
+    gauss_detect = {}
     best, best_score = None, -math.inf
-    for action in sorted(env.actions_from(sensor_position), key=lambda a: a.id):
-        pd_bar = expected_pd(g_pred, env.sensor_at(action.target_position))
-        pair = pseudo_update(root_density, env.sensor_model(action), pd_bar)
-        kl_detect = kl_bernoulli_gaussian(pair.detect_r, pair.detect,
-                                          root_density.r, g_pred)
-        kl_miss = kl_bernoulli_gaussian(pair.miss_r, pair.miss,
-                                        root_density.r, g_pred)
-        p1 = pair.p_detect_event
+    for action in env.actions_from(sensor_position):
+        nc = action.noise_class
+        if nc not in gauss_detect:
+            gauss_detect[nc] = _gaussian_kl(mean, _detect_cov(env, cov, nc), mean, cov)
+        pd_bar = expected_pd(mean, cov, action.target_position, env.fov_radius,
+                             env.p_detect)
+        r_miss, p1 = branch_weights(r, pd_bar)
+        kl_detect = _bernoulli_kl(1.0, r, gauss_detect[nc])
+        kl_miss = _bernoulli_kl(r_miss, r, gauss_miss)
         score = (1.0 - p1) * kl_miss + p1 * kl_detect
         if score > best_score + 1e-15:
             best_score = score

@@ -114,7 +114,11 @@ def generate_truth(cfg: ScenarioConfig, run: int) -> list:
 
 
 def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMetrics:
-    """One closed-loop Monte Carlo run of a single policy."""
+    """One closed-loop Monte Carlo run of a single policy.
+
+    An exception inside a step is raised again as a ``RuntimeError`` whose
+    one-line message names the policy label, seed, run and step.
+    """
     env = cfg.planning_env()
     policy = make_policy({"name": policy_spec.name, **policy_spec.params}, env)
     motion = cfg.motion_model()
@@ -124,42 +128,47 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     sensor_position = np.asarray(cfg.initial_position, dtype=float)
     records = []
     for t in range(cfg.duration):
-        pred = predict(posterior, motion)
-        pred_plan = reduce(pred, max_components=1)
+        try:
+            pred = predict(posterior, motion)
+            pred_plan = reduce(pred, max_components=1)
 
-        step_key = (cfg.seed, run, t)
-        t0 = time.perf_counter()
-        if pred_plan.components:
-            action = policy.plan(pred_plan, sensor_position, step_key)
-        else:
-            action = min(env.actions_from(sensor_position), key=lambda a: a.id)
-        plan_seconds = time.perf_counter() - t0
+            step_key = (cfg.seed, run, t)
+            t0 = time.perf_counter()
+            if pred_plan.components:
+                action = policy.plan(pred_plan, sensor_position, step_key)
+            else:
+                action = min(env.actions_from(sensor_position), key=lambda a: a.id)
+            plan_seconds = time.perf_counter() - t0
 
-        sensor_position = action.target_position
-        sensor = env.sensor_at(sensor_position)
-        model = env.sensor_model(action)
+            sensor_position = action.target_position
+            sensor = env.sensor_at(sensor_position)
+            model = env.sensor_model(action)
 
-        meas_rng = streams.stream(cfg.seed, run, t, streams.MEASUREMENT)
-        Z = generate_measurements(truth[t], sensor, model.H, model.R,
-                                  cfg.clutter_rate, meas_rng)
+            meas_rng = streams.stream(cfg.seed, run, t, streams.MEASUREMENT)
+            Z = generate_measurements(truth[t], sensor, model.H, model.R,
+                                      cfg.clutter_rate, meas_rng)
 
-        if pred.components:
-            pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
-            pd_bar = sum(w * expected_pd(g, sensor, cfg.filter_pd_samples, pd_rng)
-                         for w, g in zip(pred.weights, pred.components))
-            pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
-            posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
-        else:
-            posterior = pred
-        posterior = reduce(posterior, cfg.filter_max_components, cfg.filter_prune)
+            if pred.components:
+                pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
+                pd_bar = sum(w * expected_pd(g, sensor, cfg.filter_pd_samples, pd_rng)
+                             for w, g in zip(pred.weights, pred.components))
+                pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
+                posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
+            else:
+                posterior = pred
+            posterior = reduce(posterior, cfg.filter_max_components, cfg.filter_prune)
 
-        estimate = extract_estimate(posterior, cfg.gospa_c, cfg.trace_indices)
-        g = gospa(truth[t], estimate, cfg.gospa_c)
-        records.append(StepRecord(
-            step=t, gospa=g, action_id=action.id,
-            sensor_position=(float(sensor_position[0]), float(sensor_position[1])),
-            existence=float(posterior.r), estimated=bool(estimate),
-            truth_present=bool(truth[t]), plan_seconds=plan_seconds))
+            estimate = extract_estimate(posterior, cfg.gospa_c, cfg.trace_indices)
+            g = gospa(truth[t], estimate, cfg.gospa_c)
+            records.append(StepRecord(
+                step=t, gospa=g, action_id=action.id,
+                sensor_position=(float(sensor_position[0]), float(sensor_position[1])),
+                existence=float(posterior.r), estimated=bool(estimate),
+                truth_present=bool(truth[t]), plan_seconds=plan_seconds))
+        except Exception as exc:
+            raise RuntimeError(
+                f"policy {policy_spec.label}, seed {cfg.seed}, run {run}, step {t}: "
+                f"{type(exc).__name__}: {exc}") from exc
     return RunMetrics(run=run, steps=tuple(records))
 
 

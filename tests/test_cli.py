@@ -1,6 +1,7 @@
 """Tests for the command line entry points and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +205,48 @@ def test_oracle_small_horizon_passes(capsys):
     assert main(["oracle", "--budget", "15", "--horizon", "2"]) == 0
     out = capsys.readouterr().out
     assert "all checked scenarios agree" in out
+
+
+@pytest.mark.parametrize("parallel", ["0", "2"])
+def test_episode_failure_names_seed_run_step_and_policy(tmp_path, capsys, monkeypatch,
+                                                         parallel):
+    from gosman import simulate
+    real_make_policy = simulate.make_policy
+
+    def failing_make_policy(spec, env):
+        policy = real_make_policy(spec, env)
+        plan = policy.plan
+
+        def failing_plan(predicted, sensor_position, step_key):
+            if step_key[1:] == (1, 4):
+                raise np.linalg.LinAlgError("singular matrix")
+            return plan(predicted, sensor_position, step_key)
+
+        policy.plan = failing_plan
+        return policy
+
+    # pool workers are forked, so they inherit the patched module
+    monkeypatch.setattr(simulate, "make_policy", failing_make_policy)
+    raw = small_raw()
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--parallel", parallel]) == 2
+    assert capsys.readouterr().err == (
+        f"RuntimeError: policy {raw['policy']['name']}, seed {raw['seed']}, run 1, "
+        f"step 4: LinAlgError: singular matrix\n")
+
+
+def test_compare_matches_golden_metrics(tmp_path):
+    # the file holds this command's output from before the planning kernel
+    # moved to plain arrays; a change meant to leave results alone keeps it
+    root = Path(__file__).resolve().parent
+    raw = json.loads((root.parent / "configs" / "obstacle.json").read_text())
+    raw["duration"] = 40
+    raw["mc_runs"] = 1
+    mcts = [p for p in raw["policies"] if p["name"] == "mcts"][0]
+    raw["policies"] = [{"name": "gd"}, {"name": "kl"}, mcts]
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    golden = root / "data" / "golden_obstacle_metrics.csv"
+    assert (out / "metrics.csv").read_bytes() == golden.read_bytes()

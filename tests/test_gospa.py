@@ -1,5 +1,8 @@
 """Unit and property tests for the set metric."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,28 @@ def test_large_sets_use_assignment_solver():
     g = gospa(X, Y, c=15.0)
     assert g.total_sq >= 0.0
     assert g.num_assigned <= 9
+
+
+def test_singleton_closed_form_matches_assignment_solver():
+    # one element on one side: pair it with its nearest partner within c
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        X = list(rng.uniform(0, 30, size=(1, 2)))
+        Y = list(rng.uniform(0, 30, size=(int(rng.integers(1, 5)), 2)))
+        d2 = np.sum((np.asarray(X)[:, None] - np.asarray(Y)[None]) ** 2, axis=2)
+        rows, cols = linear_sum_assignment(np.minimum(d2, 100.0))
+        pairs = [d2[i, j] for i, j in zip(rows, cols) if d2[i, j] < 100.0]
+        for A, B in ((X, Y), (Y, X)):
+            g = gospa(A, B, c=10.0)
+            assert g.loc_sq == sum(pairs)
+            assert g.num_assigned == len(pairs)
+
+
+def test_importing_gosman_does_not_load_scipy():
+    code = ("import sys, gosman, gosman.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_invalid_arguments():

@@ -7,8 +7,8 @@ from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
 from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, backpropagate,
                              evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
-                             mcts_search, myopic_plan,
-                             nearest_sensor_plan, uct_select)
+                             mcts_search, myopic_plan, nearest_sensor_plan,
+                             planning_belief, uct_select)
 from gosman.sensors import Bounds, ObstacleMap
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -31,14 +31,26 @@ def _density(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
 
 def test_evaluate_action_cost_matches_components():
     env = _env()
-    pred = _density()
+    pred = planning_belief(_density())
     action = env.actions_from(np.array([30.0, 30.0]))[0]
-    cost, merged = evaluate_action(env, pred, action)
+    detect_covs = {}
+    cost, (r, mean, cov) = evaluate_action(env, pred, action, detect_covs)
     assert cost >= 0.0
-    assert len(merged.components) == 1
-    # a pure function of belief and action
-    again, merged_again = evaluate_action(env, pred, action)
-    assert again == cost and merged_again.r == merged.r
+    assert 0.0 <= r <= 1.0 and mean.shape == (4,) and cov.shape == (4, 4)
+    assert list(detect_covs) == [action.noise_class]
+    # a pure function of belief and action, with or without the memo
+    again, merged_again = evaluate_action(env, pred, action, {})
+    assert again == cost and merged_again[0] == r
+    assert np.array_equal(merged_again[2], cov)
+
+
+def test_planning_belief_requires_single_component():
+    g = Gaussian(np.zeros(4), np.eye(4))
+    mixture = BernoulliDensity(0.5, np.array([0.5, 0.5]), (g, g))
+    with pytest.raises(ValueError):
+        planning_belief(mixture)
+    with pytest.raises(ValueError):
+        myopic_plan(mixture, np.array([30.0, 30.0]), _env())
 
 
 def test_exhaustive_bellman_prefers_covering_action():
@@ -49,6 +61,31 @@ def test_exhaustive_bellman_prefers_covering_action():
                                        horizon=2, discount=0.7)
     assert action.id == 2
     assert value > 0.0
+
+
+def test_actions_enumerated_once_per_position_per_decision(monkeypatch):
+    from gosman import planners
+    seen = []
+    real = planners.enumerate_actions
+
+    def counting(sensor, *args):
+        seen.append(tuple(sensor.position))
+        return real(sensor, *args)
+
+    monkeypatch.setattr(planners, "enumerate_actions", counting)
+    env = _env()
+    pred = _density()
+    pos = np.array([35.0, 30.0])
+    cfg = PlannerConfig(horizon=4, discount=0.7, budget=15)
+    for decide in (lambda: mcts_search(pred, pos, env, cfg, base_key=(3,)),
+                   lambda: exhaustive_bellman(pred, pos, env, 3, 0.7)):
+        seen.clear()
+        decide()
+        first = len(seen)
+        assert first > 1 and first == len(set(seen))
+        # nothing is kept from one decision to the next
+        decide()
+        assert len(seen) == 2 * first
 
 
 def test_exhaustive_bellman_guard():
@@ -80,6 +117,25 @@ def test_mcts_matches_oracle_with_exhausting_budget():
     result = mcts_search(pred, pos, env, cfg, base_key=(11,))
     assert result.action.id == oracle_action.id
     assert -result.value == pytest.approx(oracle_value, abs=1e-9)
+
+
+def test_mcts_matches_oracle_on_a_nonzero_optimum():
+    # sensor north of the target: the optimum moves south, action id 3, so a
+    # search that fell back to the lowest id would fail here
+    env = _env()
+    pred = _density(r=0.8)
+    pos = np.array([30.0, 40.0])
+    horizon = 3
+    oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon, 0.7)
+    assert oracle_action.id == 3
+    n = len(env.actions_from(pos))
+    budget = sum(n ** d for d in range(1, horizon + 1))
+    cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
+                        rollout_depth=horizon, rollout="exhaustive")
+    for key in ((17,), (18,), (19,)):
+        result = mcts_search(pred, pos, env, cfg, base_key=key)
+        assert result.action.id == oracle_action.id
+        assert -result.value == pytest.approx(oracle_value, abs=1e-9)
 
 
 def test_mcts_zero_discount_matches_myopic():

@@ -19,6 +19,10 @@ def _sensor(position=(0.0, 0.0), fov=10.0, step=5.0, n=4, pd=0.9):
     return SensorState(np.asarray(position, float), fov, step, n, pd)
 
 
+def _disc_pd(g, s):
+    return gaussian_disc_pd(g.mean, g.cov, s.position, s.fov_radius, s.p_detect)
+
+
 def test_bounds_contains():
     b = Bounds(0.0, 10.0, 0.0, 20.0)
     assert b.contains((0.0, 0.0)) and b.contains((10.0, 20.0))
@@ -131,7 +135,7 @@ def test_gaussian_disc_pd_matches_noncentral_chi2():
         for angle in np.linspace(0.0, 2.0 * np.pi / 1024, 5) + 0.3:
             for dist in offsets:
                 mean = s.position + dist * np.array([np.cos(angle), np.sin(angle)])
-                got = gaussian_disc_pd(Gaussian(mean, sigma ** 2 * np.eye(2)), s)
+                got = _disc_pd(Gaussian(mean, sigma ** 2 * np.eye(2)), s)
                 want = 0.9 * ncx2.cdf((R / sigma) ** 2, 2, (dist / sigma) ** 2)
                 worst = max(worst, abs(got - want))
     assert worst <= 2e-3
@@ -152,7 +156,7 @@ def test_gaussian_disc_pd_matches_monte_carlo():
                 [np.cos(angle), np.sin(angle)])
             x = mean + rng.standard_normal((draws, 2)) @ np.linalg.cholesky(cov).T
             want = 0.9 * np.mean(np.sum((x - s.position) ** 2, axis=1) <= R * R)
-            assert gaussian_disc_pd(Gaussian(mean, cov), s) == \
+            assert _disc_pd(Gaussian(mean, cov), s) == \
                 pytest.approx(want, abs=2e-3)
 
 
@@ -167,17 +171,17 @@ def test_gaussian_disc_pd_range_and_purity():
         for cov in covs:
             for mean in means:
                 g = Gaussian(mean, cov)
-                got = gaussian_disc_pd(g, s)
+                got = _disc_pd(g, s)
                 assert isinstance(got, float) and 0.0 <= got <= pd
-                assert gaussian_disc_pd(g, s) == got
+                assert _disc_pd(g, s) == got
     s = _sensor(fov=10.0, pd=0.9)
-    assert gaussian_disc_pd(Gaussian(np.zeros(2), np.diag([1e-8, 1e-8])), s) == \
+    assert _disc_pd(Gaussian(np.zeros(2), np.diag([1e-8, 1e-8])), s) == \
         pytest.approx(0.9, abs=1e-12)
-    assert gaussian_disc_pd(Gaussian(np.array([1e4, 0.0]), np.eye(2)), s) == 0.0
+    assert _disc_pd(Gaussian(np.array([1e4, 0.0]), np.eye(2)), s) == 0.0
     # four-dimensional states use the position block
     g4 = Gaussian(np.array([3.0, 50.0, 4.0, -50.0]), np.diag([4.0, 1e6, 9.0, 1e6]))
     g2 = Gaussian(np.array([3.0, 4.0]), np.diag([4.0, 9.0]))
-    assert gaussian_disc_pd(g4, s) == gaussian_disc_pd(g2, s)
+    assert _disc_pd(g4, s) == _disc_pd(g2, s)
 
 
 def test_noise_matrix_classes():

@@ -180,3 +180,16 @@ def test_summarise_matches_batch_rms():
     doc = summarise(cfg, [batch])
     assert doc["policies"][batch.label]["rms_gospa"] == pytest.approx(
         batch.rms.overall, rel=1e-9)
+
+
+def test_run_episode_failure_is_chained(monkeypatch):
+    cfg = small_config()
+
+    def failing_update(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(simulate, "update", failing_update)
+    with pytest.raises(RuntimeError, match=r"^policy gd, seed 7, run 0, step 0: "
+                                           r"ValueError: boom$") as info:
+        run_episode(cfg, cfg.policy, run=0)
+    assert isinstance(info.value.__cause__, ValueError)
