@@ -248,10 +248,9 @@ def reduce(density: BernoulliDensity, max_components: int,
     return BernoulliDensity(density.r, w / w.sum(), comps)
 
 
-def optimal_threshold(cov: np.ndarray, c: float,
-                      pos_indices: Sequence[int] = POSITION_INDICES) -> float:
+def optimal_threshold(cov: np.ndarray, c: float) -> float:
     """Optimal detection threshold for the MSGOSPA-optimal set estimator."""
-    return threshold_for_trace(position_trace(cov, pos_indices), c)
+    return threshold_for_trace(position_trace(cov), c)
 
 
 def threshold_for_trace(tr: float, c: float) -> float:
@@ -268,8 +267,7 @@ def position_trace(cov: np.ndarray, pos_indices: Sequence[int] = POSITION_INDICE
     return float(cov[idx, idx].sum())
 
 
-def extract_estimate(density: BernoulliDensity, c: float,
-                     pos_indices: Sequence[int] = POSITION_INDICES) -> list:
+def extract_estimate(density: BernoulliDensity, c: float) -> list:
     """Report {posterior mean} when r clears the optimal threshold, else {}.
 
     Uses the highest-weighted component if the mixture has not been
@@ -278,6 +276,6 @@ def extract_estimate(density: BernoulliDensity, c: float,
     if density.r == 0.0 or len(density.components) == 0:
         return []
     g = density.top_component
-    if density.r >= optimal_threshold(g.cov, c, pos_indices):
+    if density.r >= optimal_threshold(g.cov, c):
         return [g.mean]
     return []

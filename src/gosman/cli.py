@@ -183,8 +183,7 @@ def _cmd_oracle(args) -> int:
         oracle_action, oracle_value = exhaustive_bellman(
             density, position, env, horizon, discount)
         cfg = PlannerConfig(horizon=horizon, discount=discount, exploration=0.05,
-                            budget=args.budget, rollout_depth=horizon,
-                            rollout="exhaustive")
+                            budget=args.budget, rollout="exhaustive")
         result = mcts_search(density, position, env, cfg, base_key)
         diff = abs(-result.value - oracle_value)
         ok = result.action.id == oracle_action.id and diff <= 1e-9

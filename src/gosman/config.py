@@ -8,13 +8,12 @@ default.
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bernoulli import MotionModel, ncv_motion_model
 from .planners import PlanningEnv
-from .sensors import Bounds, ObstacleMap, HIGH_NOISE, LOW_NOISE
+from .sensors import Bounds, ObstacleMap
 
 SCHEMA_VERSION = 1
 
@@ -97,11 +96,9 @@ class ScenarioConfig:
     r_low: float
     r_high: float
     initial_position: tuple
-    noise_classes: Optional[tuple]
     clutter_rate: float
     obstacles: tuple
     gospa_c: float
-    trace_block: str
     policy: PolicySpec
     policies: tuple
     mc_runs: int
@@ -111,11 +108,6 @@ class ScenarioConfig:
     filter_prune: float
     filter_max_components: int
     filter_pd_samples: int
-
-    @property
-    def trace_indices(self) -> tuple:
-        """State components whose covariance trace enters the costs."""
-        return (0, 2) if self.trace_block == "position" else (0, 1, 2, 3)
 
     @property
     def clutter_intensity(self) -> float:
@@ -135,8 +127,7 @@ class ScenarioConfig:
             bounds=self.bounds, fov_radius=self.fov_radius,
             step_size=self.step_size, num_actions=self.num_actions,
             p_detect=self.p_detect, H=OBSERVATION_MATRIX,
-            r_low=self.r_low, r_high=self.r_high, c=self.gospa_c,
-            noise_classes=self.noise_classes, trace_indices=self.trace_indices)
+            r_low=self.r_low, r_high=self.r_high, c=self.gospa_c)
 
     def resolved_dict(self) -> dict:
         """Round-trippable echo of the configuration with defaults filled in."""
@@ -155,7 +146,7 @@ class ScenarioConfig:
                        "initial_position": list(self.initial_position)},
             "clutter_rate": self.clutter_rate,
             "obstacles": [[list(v) for v in poly] for poly in self.obstacles],
-            "gospa": {"c": self.gospa_c, "trace_block": self.trace_block},
+            "gospa": {"c": self.gospa_c},
             "policy": {"name": self.policy.name, "label": self.policy.label,
                        **self.policy.params},
             "mc_runs": self.mc_runs,
@@ -164,8 +155,6 @@ class ScenarioConfig:
                        "max_components": self.filter_max_components,
                        "pd_samples": self.filter_pd_samples},
         }
-        if self.noise_classes is not None:
-            out["sensor"]["noise_classes"] = list(self.noise_classes)
         if self.policies:
             out["policies"] = [{"name": p.name, "label": p.label, **p.params}
                                for p in self.policies]
@@ -183,8 +172,7 @@ _POLICY_PARAMS = {
     "ns": set(),
     "gd": set(),
     "kl": set(),
-    "mcts": {"horizon", "discount", "exploration", "budget", "rollout_depth",
-             "rollout"},
+    "mcts": {"horizon", "discount", "exploration", "budget"},
 }
 
 
@@ -199,16 +187,13 @@ def _parse_policy(data, path) -> PolicySpec:
     _require(not unknown, path, f"unknown keys: {sorted(unknown)}")
     params = {k: v for k, v in data.items() if k not in ("name", "label")}
     if name == "mcts":
-        for key in ("horizon", "budget", "rollout_depth"):
+        for key in ("horizon", "budget"):
             if key in params:
                 _integer(params[key], f"{path}.{key}", low=1)
         if "discount" in params:
             _number(params["discount"], path + ".discount", low=0.0, high=1.0)
         if "exploration" in params:
             _number(params["exploration"], path + ".exploration", low=0.0)
-        if "rollout" in params:
-            _require(params["rollout"] in ("random", "exhaustive"),
-                     path + ".rollout", "must be 'random' or 'exhaustive'")
     label = data.get("label")
     if label is None:
         label = default_label(data)
@@ -252,8 +237,7 @@ def parse_config(data: dict) -> ScenarioConfig:
 
     s = _get_mapping(root["sensor"], "config.sensor",
                      required=["fov_radius", "step_size", "num_actions",
-                               "p_detect", "r_low", "r_high", "initial_position"],
-                     optional=["noise_classes"])
+                               "p_detect", "r_low", "r_high", "initial_position"])
     fov_radius = _number(s["fov_radius"], "config.sensor.fov_radius", low=1e-9)
     step_size = _number(s["step_size"], "config.sensor.step_size", low=1e-9)
     num_actions = _integer(s["num_actions"], "config.sensor.num_actions", low=1)
@@ -262,17 +246,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     r_high = _number(s["r_high"], "config.sensor.r_high", low=1e-9)
     initial_position = tuple(_vector(s["initial_position"],
                                      "config.sensor.initial_position", 2))
-    noise_classes = None
-    if "noise_classes" in s:
-        nc = s["noise_classes"]
-        _require(isinstance(nc, list) and len(nc) == num_actions,
-                 "config.sensor.noise_classes",
-                 f"expected a list of {num_actions} entries")
-        for i, v in enumerate(nc):
-            _require(v in (LOW_NOISE, HIGH_NOISE),
-                     f"config.sensor.noise_classes[{i}]",
-                     "must be 'low' or 'high'")
-        noise_classes = tuple(nc)
 
     clutter_rate = _number(root.get("clutter_rate", 1.0), "config.clutter_rate",
                            low=0.0)
@@ -286,12 +259,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         obstacles.append(tuple(tuple(_vector(v, f"config.obstacles[{i}][{j}]", 2))
                                for j, v in enumerate(poly)))
 
-    g = _get_mapping(root["gospa"], "config.gospa", required=["c"],
-                     optional=["trace_block"])
+    g = _get_mapping(root["gospa"], "config.gospa", required=["c"])
     gospa_c = _number(g["c"], "config.gospa.c", low=1e-9)
-    trace_block = g.get("trace_block", "position")
-    _require(trace_block in ("position", "full"), "config.gospa.trace_block",
-             "must be 'position' or 'full'")
 
     policy = _parse_policy(root["policy"], "config.policy")
     policies = tuple(_parse_policy(p, f"config.policies[{i}]")
@@ -342,9 +311,8 @@ def parse_config(data: dict) -> ScenarioConfig:
         p_survival=p_survival, p_birth=p_birth, birth_mean=birth_mean,
         birth_cov_diag=birth_cov, fov_radius=fov_radius, step_size=step_size,
         num_actions=num_actions, p_detect=p_detect, r_low=r_low, r_high=r_high,
-        initial_position=initial_position, noise_classes=noise_classes,
-        clutter_rate=clutter_rate, obstacles=tuple(obstacles), gospa_c=gospa_c,
-        trace_block=trace_block, policy=policy, policies=policies,
+        initial_position=initial_position, clutter_rate=clutter_rate,
+        obstacles=tuple(obstacles), gospa_c=gospa_c, policy=policy, policies=policies,
         mc_runs=mc_runs, seed=seed, truth_mode=truth_mode,
         truth_episodes=tuple(episodes), filter_prune=filter_prune,
         filter_max_components=filter_max, filter_pd_samples=filter_pd_samples)

@@ -74,13 +74,12 @@ def msgospa_bound(r: float, cov: np.ndarray, c: float,
     return BoundResult(_cost_at_threshold(threshold, r, tr, c), threshold)
 
 
-def node_cost(pred: tuple, detect_cov: np.ndarray, pd_bar: float, c: float,
-              pos_indices: Sequence[int] = POSITION_INDICES) -> float:
+def node_cost(pred: tuple, detect_cov: np.ndarray, pd_bar: float, c: float) -> float:
     """Expected planning cost over the two observation hypotheses."""
     r, _, cov = pred
     r_miss, p = branch_weights(r, pd_bar)
-    miss = msgospa_bound(r_miss, cov, c, pos_indices).cost
-    detect = msgospa_bound(1.0, detect_cov, c, pos_indices).cost
+    miss = msgospa_bound(r_miss, cov, c).cost
+    detect = msgospa_bound(1.0, detect_cov, c).cost
     return (1.0 - p) * miss + p * detect
 
 

@@ -29,7 +29,7 @@ noise class. Nothing is cached across decisions.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -59,16 +59,13 @@ class PlanningEnv:
     r_low: float
     r_high: float
     c: float
-    noise_classes: Optional[tuple] = None
-    trace_indices: Sequence[int] = POSITION_INDICES   # covariance block the costs trace
 
     def sensor_at(self, position) -> SensorState:
         return SensorState(position, self.fov_radius, self.step_size,
                            self.num_actions, self.p_detect)
 
     def actions_from(self, position) -> list:
-        return enumerate_actions(self.sensor_at(position), self.obstacles,
-                                 self.bounds, self.noise_classes)
+        return enumerate_actions(self.sensor_at(position), self.obstacles, self.bounds)
 
     def sensor_model(self, action: Action) -> LinearSensor:
         return LinearSensor(self.H, noise_matrix(action.noise_class,
@@ -81,7 +78,6 @@ class PlannerConfig:
     discount: float = 0.7
     exploration: float = 0.05
     budget: int = 10
-    rollout_depth: int = 10
     rollout: str = "random"          # or "exhaustive" (oracle mode)
 
     def __post_init__(self):
@@ -91,6 +87,9 @@ class PlannerConfig:
             raise ValueError(f"discount out of [0, 1]: {self.discount}")
         if self.exploration < 0.0:
             raise ValueError("exploration must be non-negative")
+        if self.rollout not in ("random", "exhaustive"):
+            raise ValueError(
+                f"rollout must be 'random' or 'exhaustive', got {self.rollout!r}")
 
 
 def planning_belief(density: BernoulliDensity) -> tuple:
@@ -135,7 +134,7 @@ def evaluate_action(env: PlanningEnv, pred: tuple, action: Action,
     P1 = detect_covs.get(action.noise_class)
     if P1 is None:
         P1 = detect_covs[action.noise_class] = _detect_cov(env, cov, action.noise_class)
-    return (node_cost(pred, P1, pd_bar, env.c, env.trace_indices),
+    return (node_cost(pred, P1, pd_bar, env.c),
             merge_hypotheses(pred, P1, pd_bar))
 
 
@@ -275,9 +274,11 @@ class MctsResult:
 
 def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
                 cfg: PlannerConfig, base_key: tuple = (0,)) -> MctsResult:
-    """Grow a search tree within the node budget and pick the best root child."""
+    """Grow a search tree within the node budget and pick the best root child.
+
+    The tree, and every rollout below it, reaches ``cfg.horizon`` actions deep.
+    """
     sensor_position = np.asarray(sensor_position, dtype=float)
-    depth_limit = min(cfg.horizon, cfg.rollout_depth)
     actions = _action_table(env)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position,
@@ -291,15 +292,15 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
         while not node.untried and node.children:
             node = uct_select(node, cfg.exploration)
         if node.untried:
-            node = _expand(env, actions, node, tree_rng, depth_limit)
+            node = _expand(env, actions, node, tree_rng, cfg.horizon)
         delta = -_path_cost(node, cfg.discount)
-        if node.depth < depth_limit:
+        if node.depth < cfg.horizon:
             if cfg.rollout == "exhaustive":
                 tail, _ = _bellman_value(env, actions, node.pred, node.sensor_position,
-                                         depth_limit - node.depth, cfg.discount)
+                                         cfg.horizon - node.depth, cfg.discount)
                 delta -= cfg.discount ** node.depth * tail
             else:
-                delta -= _random_rollout(env, actions, node, depth_limit,
+                delta -= _random_rollout(env, actions, node, cfg.horizon,
                                          cfg.discount, tree_rng)
         backpropagate(node, delta, backup)
 

@@ -12,7 +12,7 @@ the Gaussian mean.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,20 +105,17 @@ class ObstacleMap:
         return any(_point_in_convex_polygon(point, poly) for poly in self.polygons)
 
 
-def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap, bounds: Bounds,
-                      noise_classes: Optional[Sequence[str]] = None) -> list:
+def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
+                      bounds: Bounds) -> list:
     """Feasible moves from the current position.
 
     Targets sit at angles 2 pi i / num_actions on the step circle; moves
     into an obstacle or out of bounds are removed. Noise classes
-    alternate low/high by index parity unless overridden. If every move
-    is blocked the sensor stays in place (zero-displacement fallback) so
-    planners never face an empty action set. Actions come in ascending id
-    order.
+    alternate low/high by index parity. If every move is blocked the
+    sensor stays in place (zero-displacement fallback) so planners never
+    face an empty action set. Actions come in ascending id order.
     """
     n = sensor.num_actions
-    if noise_classes is not None and len(noise_classes) != n:
-        raise ValueError("noise_classes must match num_actions")
     actions = []
     for i in range(n):
         angle = 2.0 * np.pi * i / n
@@ -126,19 +123,16 @@ def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap, bounds: Bound
             [np.cos(angle), np.sin(angle)])
         if not bounds.contains(target) or obstacles.blocks(target):
             continue
-        nc = noise_classes[i] if noise_classes is not None else (
-            LOW_NOISE if i % 2 == 0 else HIGH_NOISE)
-        actions.append(Action(i, target, nc))
+        actions.append(Action(i, target, LOW_NOISE if i % 2 == 0 else HIGH_NOISE))
     if not actions:
         actions = [Action(0, sensor.position.copy(), LOW_NOISE)]
     return actions
 
 
-def detection_probability(x, sensor: SensorState,
-                          pos_indices: Sequence[int] = POSITION_INDICES) -> float:
+def detection_probability(x, sensor: SensorState) -> float:
     """p_detect inside the FOV disc (boundary inclusive), zero outside."""
     x = np.asarray(x, dtype=float)
-    pos = x if len(x) == 2 else x[list(pos_indices)]
+    pos = x if len(x) == 2 else x[list(POSITION_INDICES)]
     if np.linalg.norm(pos - sensor.position) <= sensor.fov_radius:
         return sensor.p_detect
     return 0.0
@@ -223,12 +217,11 @@ def noise_matrix(noise_class: str, r_low: float, r_high: float) -> np.ndarray:
 
 
 def generate_measurements(truth, sensor: SensorState, H: np.ndarray, R: np.ndarray,
-                          clutter_rate: float, rng: np.random.Generator,
-                          pos_indices: Sequence[int] = POSITION_INDICES) -> list:
+                          clutter_rate: float, rng: np.random.Generator) -> list:
     """Target detection (within FOV) plus Poisson clutter uniform in the FOV."""
     measurements = []
     for x in truth:
-        pd = detection_probability(x, sensor, pos_indices)
+        pd = detection_probability(x, sensor)
         if pd > 0.0 and rng.random() < pd:
             noise = rng.multivariate_normal(np.zeros(H.shape[0]), R)
             measurements.append(H @ np.asarray(x, dtype=float) + noise)

@@ -9,6 +9,7 @@ measurement noise streams.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -86,7 +87,6 @@ def _scripted_states(episode, tau: float) -> list:
 
 def generate_truth(cfg: ScenarioConfig, run: int) -> list:
     """Ground-truth target set (empty or singleton) for every time-step."""
-    motion = cfg.motion_model()
     truth = [[] for _ in range(cfg.duration)]
     if cfg.truth_mode == "scripted":
         for ep in cfg.truth_episodes:
@@ -96,6 +96,7 @@ def generate_truth(cfg: ScenarioConfig, run: int) -> list:
                     truth[t] = [x]
         return truth
 
+    motion = cfg.motion_model()
     rng = streams.stream(cfg.seed, run, streams.TRUTH)
     alive = False
     x = None
@@ -121,7 +122,6 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     """
     env = cfg.planning_env()
     policy = make_policy({"name": policy_spec.name, **policy_spec.params}, env)
-    motion = cfg.motion_model()
     truth = generate_truth(cfg, run)
 
     posterior = empty_density()
@@ -129,7 +129,7 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     records = []
     for t in range(cfg.duration):
         try:
-            pred = predict(posterior, motion)
+            pred = predict(posterior, env.motion)
             pred_plan = reduce(pred, max_components=1)
 
             step_key = (cfg.seed, run, t)
@@ -158,7 +158,7 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
                 posterior = pred
             posterior = reduce(posterior, cfg.filter_max_components, cfg.filter_prune)
 
-            estimate = extract_estimate(posterior, cfg.gospa_c, cfg.trace_indices)
+            estimate = extract_estimate(posterior, cfg.gospa_c)
             g = gospa(truth[t], estimate, cfg.gospa_c)
             records.append(StepRecord(
                 step=t, gospa=g, action_id=action.id,
@@ -179,12 +179,15 @@ def _episode_worker(args):
 
 def run_batch(cfg: ScenarioConfig, policy_spec: Optional[PolicySpec] = None,
               parallel: int = 0) -> BatchResult:
-    """All Monte Carlo runs of one policy, aggregated to RMS GOSPA."""
+    """All Monte Carlo runs of one policy, aggregated to RMS GOSPA.
+
+    ``parallel`` worker processes share the runs, at most one per CPU.
+    """
     spec = policy_spec if policy_spec is not None else cfg.policy
     t0 = time.perf_counter()
     jobs = [(cfg, spec, run) for run in range(cfg.mc_runs)]
     if parallel > 1 and cfg.mc_runs > 1:
-        with Pool(parallel) as pool:
+        with Pool(min(parallel, os.cpu_count() or 1)) as pool:
             runs = pool.map(_episode_worker, jobs)
     else:
         runs = [_episode_worker(job) for job in jobs]

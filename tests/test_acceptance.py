@@ -228,14 +228,13 @@ def test_criterion_6_planner_oracle(report):
         oracle_action, oracle_value = exhaustive_bellman(
             density, position, env, horizon, 0.7)
         cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                            rollout_depth=horizon, rollout="exhaustive")
+                            rollout="exhaustive")
         got = mcts_search(density, position, env, cfg, key)
         worst_diff = max(worst_diff, abs(-got.value - oracle_value))
         if got.action.id != oracle_action.id:
             mismatches += 1
 
-        zero = PlannerConfig(horizon=horizon, discount=0.0, budget=budget,
-                             rollout_depth=horizon)
+        zero = PlannerConfig(horizon=horizon, discount=0.0, budget=budget)
         if mcts_search(density, position, env, zero, key).action.id != \
                 myopic_plan(density, position, env).id:
             myopic_mismatches += 1

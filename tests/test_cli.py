@@ -165,7 +165,6 @@ def test_validate_echoes_resolved_config(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema_version"] == 1
-    assert doc["gospa"]["trace_block"] == "position"
 
 
 def test_validate_bad_config_exits_1(tmp_path, capsys):
@@ -193,12 +192,28 @@ def test_oracle_rejects_invalid_flags(capsys, flags, message):
     assert captured.out == ""
 
 
-def test_policy_pd_samples_is_rejected(tmp_path, capsys):
-    # planning no longer samples its PD; only filter.pd_samples remains
-    raw = small_raw()
-    raw["policy"] = {"name": "mcts", "pd_samples": 3000}
-    assert main(["validate", "--config", write_config(tmp_path, raw)]) == 1
-    assert capsys.readouterr().err == "config.policy: unknown keys: ['pd_samples']\n"
+REMOVED_KEYS = [
+    ("policy", "pd_samples", 3000),        # planning no longer samples its PD
+    ("policy", "rollout", "exhaustive"),   # oracle mode has no size guard at horizon 10
+    ("policy", "rollout_depth", 10),       # the tree depth is the horizon
+    ("gospa", "trace_block", "full"),      # the cost traces positions only
+    ("sensor", "noise_classes", ["low", "high"]),  # the class follows the action id
+]
+
+
+@pytest.mark.parametrize("block, key, value", REMOVED_KEYS,
+                         ids=[f"{block}.{key}" for block, key, _ in REMOVED_KEYS])
+def test_removed_keys_are_rejected(tmp_path, capsys, block, key, value):
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                      "obstacle.json").read_text())
+    raw[block][key] = value
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    for argv in (["validate", "--config", cfg],
+                 ["run", "--config", cfg, "--out", str(out), "--runs", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config.{block}: unknown keys: ['{key}']\n"
+    assert not out.exists()
 
 
 def test_oracle_small_horizon_passes(capsys):

@@ -113,7 +113,7 @@ def test_mcts_matches_oracle_with_exhausting_budget():
     n = len(env.actions_from(pos))
     budget = sum(n ** d for d in range(1, horizon + 1))
     cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                        rollout_depth=horizon, rollout="exhaustive")
+                        rollout="exhaustive")
     result = mcts_search(pred, pos, env, cfg, base_key=(11,))
     assert result.action.id == oracle_action.id
     assert -result.value == pytest.approx(oracle_value, abs=1e-9)
@@ -131,7 +131,7 @@ def test_mcts_matches_oracle_on_a_nonzero_optimum():
     n = len(env.actions_from(pos))
     budget = sum(n ** d for d in range(1, horizon + 1))
     cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                        rollout_depth=horizon, rollout="exhaustive")
+                        rollout="exhaustive")
     for key in ((17,), (18,), (19,)):
         result = mcts_search(pred, pos, env, cfg, base_key=key)
         assert result.action.id == oracle_action.id
@@ -179,6 +179,8 @@ def test_planner_config_validation():
         PlannerConfig(discount=1.5)
     with pytest.raises(ValueError):
         PlannerConfig(exploration=-0.1)
+    with pytest.raises(ValueError, match="rollout"):
+        PlannerConfig(rollout="exhastive")
 
 
 def test_backpropagate_rules():

@@ -104,9 +104,8 @@ def test_merge_and_cost_invariants(bel, pd_bar, noise, c):
     assert 0.0 <= r <= 1.0
     assert np.allclose(mean, bel[1], rtol=1e-15, atol=0.0)
     _assert_covariance(cov)
-    for pos_indices in ((0, 2), (0, 1, 2, 3)):
-        cost = node_cost(bel, P1, pd_bar, c, pos_indices)
-        assert np.isfinite(cost) and cost >= 0.0
+    cost = node_cost(bel, P1, pd_bar, c)
+    assert np.isfinite(cost) and cost >= 0.0
 
 
 BOUNDS = Bounds(0.0, 100.0, 0.0, 100.0)

@@ -80,16 +80,6 @@ def test_enumerate_actions_fallback_stay():
     assert actions[0].target_position == pytest.approx([50.0, 50.0])
 
 
-def test_enumerate_actions_noise_override():
-    bounds = Bounds(-100.0, 100.0, -100.0, 100.0)
-    actions = enumerate_actions(_sensor(n=2), ObstacleMap(), bounds,
-                                noise_classes=("high", "high"))
-    assert all(a.noise_class == HIGH_NOISE for a in actions)
-    with pytest.raises(ValueError):
-        enumerate_actions(_sensor(n=2), ObstacleMap(), bounds,
-                          noise_classes=("low",))
-
-
 def test_detection_probability_disc():
     s = _sensor(fov=10.0, pd=0.9)
     assert detection_probability(np.array([3.0, 0.0, 4.0, 0.0]), s) == 0.9

@@ -103,15 +103,6 @@ def test_run_episode_plans_through_policy_attribute(monkeypatch):
     assert all(n == 1 for _, n in calls)
 
 
-def test_full_trace_block_runs_every_policy():
-    cfg = small_config(duration=5, gospa={"c": 20.0, "trace_block": "full"},
-                       policies=[{"name": "ns"}, {"name": "gd"}, {"name": "kl"},
-                                 {"name": "mcts", "budget": 3, "horizon": 2}])
-    assert cfg.trace_indices == (0, 1, 2, 3)
-    for batch in run_comparison(cfg):
-        assert len(batch.runs) == cfg.mc_runs and batch.rms.overall >= 0.0
-
-
 def test_sensor_moves_at_most_one_step():
     cfg = small_config()
     m = run_episode(cfg, cfg.policy, run=0)
