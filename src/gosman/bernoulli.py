@@ -62,6 +62,8 @@ class BernoulliDensity:
         object.__setattr__(self, "components", tuple(self.components))
         if not 0.0 <= self.r <= 1.0 + 1e-12:
             raise ValueError(f"existence probability out of range: {self.r}")
+        # rounding may carry r a hair above 1; store the probability it means
+        object.__setattr__(self, "r", min(self.r, 1.0))
         if len(self.weights) != len(self.components):
             raise ValueError("weights and components length mismatch")
         if len(self.weights):
@@ -140,11 +142,14 @@ def predict(prior: BernoulliDensity, model: MotionModel) -> BernoulliDensity:
     if r_birth > 0.0:
         weights.append(r_birth / r_pred)
         comps.append(model.birth)
-    if r_surv > 0.0:
-        for w, g in zip(prior.weights, prior.components):
-            weights.append(r_surv * w / r_pred)
+    for w, g in zip(prior.weights, prior.components):
+        w_pred = r_surv * w / r_pred
+        if w_pred > 0.0:   # zero when r_surv is nil or so tiny it underflows
+            weights.append(w_pred)
             comps.append(Gaussian(model.F @ g.mean,
                                   model.F @ g.cov @ model.F.T + model.Q))
+    if not comps:
+        return empty_density()
     return BernoulliDensity(min(r_pred, 1.0), np.array(weights), comps)
 
 
@@ -258,12 +263,12 @@ def threshold_for_trace(tr: float, c: float) -> float:
     return 1.0 / (2.0 - min(2.0 * tr / (c * c), 1.0))
 
 
-def position_trace(cov: np.ndarray, pos_indices: Sequence[int] = POSITION_INDICES) -> float:
-    """Trace of the covariance over the chosen state block."""
+def position_trace(cov: np.ndarray) -> float:
+    """Trace of the covariance over the position block; a 2 x 2 one is that block."""
     cov = np.asarray(cov)
-    if cov.shape[0] == len(pos_indices):
+    if cov.shape[0] == 2:
         return float(np.trace(cov))
-    idx = list(pos_indices)
+    idx = list(POSITION_INDICES)
     return float(cov[idx, idx].sum())
 
 

@@ -7,12 +7,12 @@ default.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bernoulli import MotionModel, ncv_motion_model
-from .planners import PlanningEnv
+from .planners import PlannerConfig, PlanningEnv
 from .sensors import Bounds, ObstacleMap
 
 SCHEMA_VERSION = 1
@@ -105,9 +105,6 @@ class ScenarioConfig:
     seed: int
     truth_mode: str
     truth_episodes: tuple
-    filter_prune: float
-    filter_max_components: int
-    filter_pd_samples: int
 
     @property
     def clutter_intensity(self) -> float:
@@ -151,9 +148,6 @@ class ScenarioConfig:
                        **self.policy.params},
             "mc_runs": self.mc_runs,
             "seed": self.seed,
-            "filter": {"prune": self.filter_prune,
-                       "max_components": self.filter_max_components,
-                       "pd_samples": self.filter_pd_samples},
         }
         if self.policies:
             out["policies"] = [{"name": p.name, "label": p.label, **p.params}
@@ -174,6 +168,8 @@ _POLICY_PARAMS = {
     "kl": set(),
     "mcts": {"horizon", "discount", "exploration", "budget"},
 }
+_MCTS_DEFAULTS = {f.name: f.default for f in fields(PlannerConfig)
+                  if f.name in _POLICY_PARAMS["mcts"]}
 
 
 def _parse_policy(data, path) -> PolicySpec:
@@ -187,23 +183,22 @@ def _parse_policy(data, path) -> PolicySpec:
     _require(not unknown, path, f"unknown keys: {sorted(unknown)}")
     params = {k: v for k, v in data.items() if k not in ("name", "label")}
     if name == "mcts":
+        # the echo names every setting, the unset ones at PlannerConfig's defaults
+        params = {**_MCTS_DEFAULTS, **params}
         for key in ("horizon", "budget"):
-            if key in params:
-                _integer(params[key], f"{path}.{key}", low=1)
-        if "discount" in params:
-            _number(params["discount"], path + ".discount", low=0.0, high=1.0)
-        if "exploration" in params:
-            _number(params["exploration"], path + ".exploration", low=0.0)
+            _integer(params[key], f"{path}.{key}", low=1)
+        _number(params["discount"], path + ".discount", low=0.0, high=1.0)
+        _number(params["exploration"], path + ".exploration", low=0.0)
     label = data.get("label")
     if label is None:
-        label = default_label(data)
+        label = default_label({"name": name, **params})
     return PolicySpec(name=name, label=str(label), params=params)
 
 
 def default_label(policy: dict) -> str:
-    """Label of a raw policy block that sets none: its name, plus the mcts budget."""
+    """Label of a defaults-filled policy block: its name, plus the mcts budget."""
     name = policy["name"]
-    return name if name != "mcts" else f"mcts-{policy.get('budget', 10)}"
+    return name if name != "mcts" else f"mcts-{policy['budget']}"
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -211,8 +206,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     root = _get_mapping(data, "config",
                         required=["schema_version", "bounds", "duration", "motion",
                                   "sensor", "gospa", "policy", "mc_runs", "seed"],
-                        optional=["clutter_rate", "obstacles", "policies", "truth",
-                                  "filter"])
+                        optional=["clutter_rate", "obstacles", "policies", "truth"])
     _require(root["schema_version"] == SCHEMA_VERSION, "config.schema_version",
              f"unsupported schema version {root['schema_version']!r}")
 
@@ -298,14 +292,6 @@ def parse_config(data: dict) -> ScenarioConfig:
     else:
         raise ConfigError("config.truth.mode: must be 'model' or 'scripted'")
 
-    f = _get_mapping(root.get("filter", {}), "config.filter", required=[],
-                     optional=["prune", "max_components", "pd_samples"])
-    filter_prune = _number(f.get("prune", 1e-4), "config.filter.prune", low=0.0)
-    filter_max = _integer(f.get("max_components", 10),
-                          "config.filter.max_components", low=1)
-    filter_pd_samples = _integer(f.get("pd_samples", 1000),
-                                 "config.filter.pd_samples", low=1)
-
     return ScenarioConfig(
         bounds=bounds, duration=duration, tau=tau, q=q,
         p_survival=p_survival, p_birth=p_birth, birth_mean=birth_mean,
@@ -314,8 +300,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         initial_position=initial_position, clutter_rate=clutter_rate,
         obstacles=tuple(obstacles), gospa_c=gospa_c, policy=policy, policies=policies,
         mc_runs=mc_runs, seed=seed, truth_mode=truth_mode,
-        truth_episodes=tuple(episodes), filter_prune=filter_prune,
-        filter_max_components=filter_max, filter_pd_samples=filter_pd_samples)
+        truth_episodes=tuple(episodes))
 
 
 def load_config(path) -> ScenarioConfig:

@@ -16,12 +16,11 @@ filter's constructors would do it, without their eigenvalue check;
 in [0, 1] and covariances stay positive semi-definite.
 """
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .bernoulli import position_trace, threshold_for_trace
-from .gospa import POSITION_INDICES
 
 
 def pseudo_update(cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -60,16 +59,15 @@ def _cost_at_threshold(threshold: float, r: float, tr: float, c: float) -> float
     return 0.5 * c * c * (1.0 - r) + r * min(tr, c * c)
 
 
-def msgospa_cost_at_threshold(threshold: float, r: float, cov: np.ndarray, c: float,
-                              pos_indices: Sequence[int] = POSITION_INDICES) -> float:
+def msgospa_cost_at_threshold(threshold: float, r: float, cov: np.ndarray,
+                              c: float) -> float:
     """MSGOSPA upper bound of the set estimator with a given threshold."""
-    return _cost_at_threshold(threshold, r, position_trace(cov, pos_indices), c)
+    return _cost_at_threshold(threshold, r, position_trace(cov), c)
 
 
-def msgospa_bound(r: float, cov: np.ndarray, c: float,
-                  pos_indices: Sequence[int] = POSITION_INDICES) -> BoundResult:
+def msgospa_bound(r: float, cov: np.ndarray, c: float) -> BoundResult:
     """Upper bound on the MSGOSPA error at the optimal detection threshold."""
-    tr = position_trace(cov, pos_indices)
+    tr = position_trace(cov)
     threshold = threshold_for_trace(tr, c)
     return BoundResult(_cost_at_threshold(threshold, r, tr, c), threshold)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-# default positional components of a [px, vx, py, vy] state
+# positional components of a [px, vx, py, vy] state
 POSITION_INDICES = (0, 2)
 
 
@@ -34,24 +34,21 @@ class GospaResult:
         return float(np.sqrt(self.total_sq))
 
 
-def _positions(elements: Sequence[np.ndarray], pos_indices) -> np.ndarray:
+def _positions(elements: Sequence[np.ndarray]) -> np.ndarray:
     if len(elements) == 0:
         return np.zeros((0, 2))
     arr = np.atleast_2d(np.asarray(elements, dtype=float))
-    if arr.shape[1] == len(pos_indices):
+    if arr.shape[1] == 2:
         return arr
-    return arr[:, list(pos_indices)]
+    return arr[:, list(POSITION_INDICES)]
 
 
-def gospa(X, Y, c: float,
-          pos_indices: Sequence[int] = POSITION_INDICES) -> GospaResult:
+def gospa(X, Y, c: float) -> GospaResult:
     """GOSPA distance between target sets X and Y with decomposition."""
     if c <= 0:
         raise ValueError(f"cutoff c must be positive, got {c}")
-    xs = _positions(X, pos_indices)
-    ys = _positions(Y, pos_indices)
-    if len(xs) and len(ys) and xs.shape[1] != ys.shape[1]:
-        raise ValueError("dimension mismatch between the two sets")
+    xs = _positions(X)
+    ys = _positions(Y)
 
     n, m = len(xs), len(ys)
     half_c2 = 0.5 * c * c

@@ -277,6 +277,8 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
     """Grow a search tree within the node budget and pick the best root child.
 
     The tree, and every rollout below it, reaches ``cfg.horizon`` actions deep.
+    Exhaustive continuations carry the same horizon guard as
+    ``exhaustive_bellman``.
     """
     sensor_position = np.asarray(sensor_position, dtype=float)
     actions = _action_table(env)
@@ -284,6 +286,9 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
                     sensor_position=sensor_position,
                     pred=planning_belief(root_density),
                     immediate_cost=0.0, untried=actions(sensor_position))
+    if cfg.rollout == "exhaustive" and \
+            cfg.horizon > exhaustive_max_horizon(len(root.untried)):
+        raise ValueError("exhaustive horizon too large to enumerate")
     tree_rng = streams.stream(*base_key, streams.PLAN_TREE)
     backup = "max" if cfg.rollout == "exhaustive" else "mean"
 

@@ -12,7 +12,6 @@ the Gaussian mean.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -155,8 +154,7 @@ def _gaussian_pdf_many(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) ->
 
 
 def expected_pd(pred: Gaussian, sensor: SensorState, num_samples: int,
-                rng: np.random.Generator,
-                pos_indices: Sequence[int] = POSITION_INDICES) -> float:
+                rng: np.random.Generator) -> float:
     """Importance-sampling estimate of the expected detection probability.
 
     Equals p_detect times the Gaussian positional mass inside the FOV
@@ -165,7 +163,7 @@ def expected_pd(pred: Gaussian, sensor: SensorState, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    idx = list(pos_indices) if pred.dim > 2 else [0, 1]
+    idx = list(POSITION_INDICES) if pred.dim > 2 else [0, 1]
     mean = pred.mean[idx]
     cov = pred.cov[np.ix_(idx, idx)]
     pts = _uniform_disc(sensor.position, sensor.fov_radius, num_samples, rng)

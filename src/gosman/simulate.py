@@ -24,6 +24,12 @@ from .gospa import GospaResult, RmsGospaSeries, gospa, rms_gospa
 from .planners import make_policy
 from .sensors import expected_pd, generate_measurements
 
+# filter settings: importance samples per PD estimate, mixture size cap and
+# pruning weight
+FILTER_PD_SAMPLES = 1000
+FILTER_MAX_COMPONENTS = 10
+FILTER_PRUNE = 1e-4
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -150,13 +156,13 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
 
             if pred.components:
                 pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
-                pd_bar = sum(w * expected_pd(g, sensor, cfg.filter_pd_samples, pd_rng)
+                pd_bar = sum(w * expected_pd(g, sensor, FILTER_PD_SAMPLES, pd_rng)
                              for w, g in zip(pred.weights, pred.components))
                 pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
                 posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
             else:
                 posterior = pred
-            posterior = reduce(posterior, cfg.filter_max_components, cfg.filter_prune)
+            posterior = reduce(posterior, FILTER_MAX_COMPONENTS, FILTER_PRUNE)
 
             estimate = extract_estimate(posterior, cfg.gospa_c)
             g = gospa(truth[t], estimate, cfg.gospa_c)

@@ -92,7 +92,7 @@ def test_criterion_2_bound_validity(posteriors, report):
     half_c2 = 0.5 * C * C
     violations = 0
     for r, P in posteriors:
-        bound = msgospa_bound(r, P, C, pos_indices=(0, 1))
+        bound = msgospa_bound(r, P, C)
         L = np.linalg.cholesky(P + 1e-12 * np.eye(2))
         present = rng.random(samples) < r
         x = (L @ rng.standard_normal((2, samples))).T
@@ -116,9 +116,8 @@ def test_criterion_3_threshold_optimality(posteriors, report):
     grid = np.linspace(0.0, 1.0, 1001)
     worst = 0.0
     for r, P in posteriors:
-        best_star = msgospa_bound(r, P, C, pos_indices=(0, 1)).cost
-        best_grid = min(msgospa_cost_at_threshold(g, r, P, C, pos_indices=(0, 1))
-                        for g in grid)
+        best_star = msgospa_bound(r, P, C).cost
+        best_grid = min(msgospa_cost_at_threshold(g, r, P, C) for g in grid)
         worst = max(worst, best_star - best_grid)
     report(3, worst <= 1e-9,
            f"500 posteriors x 1001-point grid, max shortfall {worst:.2e}")
@@ -153,17 +152,15 @@ def test_criterion_4_expected_pd_accuracy(report):
         cov = np.array([[sig[0] ** 2, rho * sig[0] * sig[1]],
                         [rho * sig[0] * sig[1], sig[1] ** 2]])
         g = Gaussian(mean, cov)
-        got = expected_pd(g, sensor, 10_000, rng, pos_indices=(0, 1))
+        got = expected_pd(g, sensor, 10_000, rng)
         want = _pd_quadrature(mean, cov, sensor)
         max_err = max(max_err, abs(got - want))
 
     # convergence-rate check: std shrinks 10x from 100 to 10000 samples
     g = Gaussian(sensor.position + np.array([delta, 0.0]),
                  np.diag([(delta / 2) ** 2, (delta / 2) ** 2]))
-    lo = [expected_pd(g, sensor, 100, rng, pos_indices=(0, 1))
-          for _ in range(100)]
-    hi = [expected_pd(g, sensor, 10_000, rng, pos_indices=(0, 1))
-          for _ in range(100)]
+    lo = [expected_pd(g, sensor, 100, rng) for _ in range(100)]
+    hi = [expected_pd(g, sensor, 10_000, rng) for _ in range(100)]
     ratio = float(np.std(lo, ddof=1) / np.std(hi, ddof=1))
     report(4, max_err <= 0.01 and 7.0 <= ratio <= 13.0,
            f"max |err| {max_err:.4f} over 50 configs, std ratio {ratio:.2f}")

@@ -194,25 +194,29 @@ def test_oracle_rejects_invalid_flags(capsys, flags, message):
 
 REMOVED_KEYS = [
     ("policy", "pd_samples", 3000),        # planning no longer samples its PD
-    ("policy", "rollout", "exhaustive"),   # oracle mode has no size guard at horizon 10
+    ("policy", "rollout", "exhaustive"),   # oracle mode, for the exhaustive check only
     ("policy", "rollout_depth", 10),       # the tree depth is the horizon
     ("gospa", "trace_block", "full"),      # the cost traces positions only
     ("sensor", "noise_classes", ["low", "high"]),  # the class follows the action id
+    # the filter's sample count, mixture cap and pruning weight are constants
+    (None, "filter", {"prune": 1e-4, "max_components": 10, "pd_samples": 1000}),
 ]
 
 
 @pytest.mark.parametrize("block, key, value", REMOVED_KEYS,
-                         ids=[f"{block}.{key}" for block, key, _ in REMOVED_KEYS])
+                         ids=[key if block is None else f"{block}.{key}"
+                              for block, key, _ in REMOVED_KEYS])
 def test_removed_keys_are_rejected(tmp_path, capsys, block, key, value):
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" /
                       "obstacle.json").read_text())
-    raw[block][key] = value
+    (raw if block is None else raw[block])[key] = value
+    where = "config" if block is None else f"config.{block}"
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "out"
     for argv in (["validate", "--config", cfg],
                  ["run", "--config", cfg, "--out", str(out), "--runs", "1"]):
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"config.{block}: unknown keys: ['{key}']\n"
+        assert capsys.readouterr().err == f"{where}: unknown keys: ['{key}']\n"
     assert not out.exists()
 
 

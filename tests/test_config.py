@@ -30,8 +30,6 @@ def test_minimal_config_parses_with_defaults():
     cfg = parse_config(minimal_config())
     assert cfg.clutter_rate == 1.0
     assert cfg.truth_mode == "model"
-    assert cfg.filter_prune == pytest.approx(1e-4)
-    assert cfg.filter_max_components == 10
     assert cfg.obstacles == ()
     assert cfg.policy.label == "gd"
 
@@ -110,6 +108,15 @@ def test_mcts_default_label_includes_budget():
     raw["policy"] = {"name": "mcts", "budget": 50}
     cfg = parse_config(raw)
     assert cfg.policy.label == "mcts-50"
+
+
+def test_mcts_defaults_are_echoed():
+    raw = minimal_config()
+    raw["policy"] = {"name": "mcts", "horizon": 3}
+    cfg = parse_config(raw)
+    assert cfg.resolved_dict()["policy"] == {
+        "name": "mcts", "label": "mcts-10", "horizon": 3, "discount": 0.7,
+        "exploration": 0.05, "budget": 10}
 
 
 def test_mcts_param_validation():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gosman import planners
 from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
 from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, backpropagate,
                              evaluate_action, exhaustive_bellman,
@@ -93,6 +94,17 @@ def test_exhaustive_bellman_guard():
     with pytest.raises(ValueError):
         exhaustive_bellman(_density(), np.array([50.0, 50.0]), env,
                            horizon=12, discount=0.7)
+
+
+@pytest.mark.parametrize("horizon", [6, 10])
+def test_mcts_exhaustive_rollout_guard(monkeypatch, horizon):
+    # six actions allow an exhaustive horizon of 5; the search refuses a
+    # longer one before it evaluates a single action
+    env = _env(num_actions=6)
+    monkeypatch.setattr(planners, "evaluate_action", None)
+    cfg = PlannerConfig(horizon=horizon, rollout="exhaustive")
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        mcts_search(_density(), np.array([50.0, 50.0]), env, cfg)
 
 
 def test_myopic_is_horizon_one_bellman():
