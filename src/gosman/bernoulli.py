@@ -22,7 +22,8 @@ def make_psd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     sym = 0.5 * (cov + cov.T)
     w, v = np.linalg.eigh(sym)
-    if w[0] < -_SYM_TOL:
+    # rounding error scales with the covariance, so the tolerance does too
+    if w[0] < -_SYM_TOL * max(1.0, abs(w[-1])):
         raise ValueError(f"covariance has eigenvalue {w[0]:.3e} below tolerance")
     if w[0] < 0.0:
         sym = (v * np.maximum(w, 0.0)) @ v.T
@@ -168,7 +169,8 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor
 
     ``clutter_intensity`` is the spatially uniform clutter density
     lambda_c(z) (expected clutter per unit area). With zero clutter the
-    model admits at most one measurement.
+    model admits at most one measurement, and a detection of it makes
+    r = 1; otherwise r' = r (1 - delta) / (1 - r delta).
     """
     if not 0.0 <= pd_bar <= 1.0:
         raise ValueError(f"pd_bar out of [0, 1]: {pd_bar}")
@@ -179,57 +181,43 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor
         return pred
 
     H, R = sensor.H, sensor.R
-    # per-component predicted measurement terms
+    # S, a block of a symmetric covariance plus R, is symmetric positive definite
     zhats = [H @ g.mean for g in pred.components]
-    Ss = [make_psd(H @ g.cov @ H.T + R) for g in pred.components]
-    gains = [g.cov @ H.T @ np.linalg.inv(S) for g, S in zip(pred.components, Ss)]
-
-    weights = []
-    comps = []
-    # misdetection hypothesis
-    if pd_bar < 1.0:
-        for w, g in zip(pred.weights, pred.components):
-            weights.append(w * (1.0 - pd_bar))
-            comps.append(g)
-    # one detection hypothesis per measurement
-    like_sums = []
+    Ss = [H @ g.cov @ H.T + R for g in pred.components]
+    miss = [(w * (1.0 - pd_bar), g) for w, g in zip(pred.weights, pred.components)]
+    detect = []
+    posts = {}   # component index -> Kalman gain and covariance, on first detection
+    like_total = 0.0
     for z in Z:
-        like = [w * _gaussian_pdf(z, zh, S)
-                for w, zh, S in zip(pred.weights, zhats, Ss)]
-        like_sums.append(sum(like))
-        if pd_bar == 0.0:
-            continue
-        for w_l, g, zh, K in zip(like, pred.components, zhats, gains):
-            if w_l <= 0.0:
+        like = [w * _gaussian_pdf(z, zh, S) for w, zh, S in zip(pred.weights, zhats, Ss)]
+        like_total += sum(like)
+        for i, w_l in enumerate(like):
+            if pd_bar == 0.0 or w_l <= 0.0:
                 continue
-            mean = g.mean + K @ (z - zh)
-            cov = g.cov - K @ H @ g.cov
-            if clutter_intensity > 0.0:
-                weights.append(pd_bar * w_l / clutter_intensity)
-            else:
-                weights.append(pd_bar * w_l)
-            comps.append(Gaussian(mean, cov))
+            g = pred.components[i]
+            if i not in posts:
+                K = g.cov @ H.T @ np.linalg.inv(Ss[i])
+                posts[i] = K, g.cov - K @ H @ g.cov
+            K, cov = posts[i]
+            # likelihood ratio against clutter; without clutter normalised below
+            detect.append((pd_bar * w_l / (clutter_intensity or 1.0),
+                           Gaussian(g.mean + K @ (z - zhats[i]), cov)))
 
-    if clutter_intensity > 0.0:
-        delta = pd_bar * (1.0 - sum(like_sums) / clutter_intensity)
-        denom = 1.0 - pred.r * delta
-        r_new = pred.r * (1.0 - delta) / denom if denom > 0.0 else 0.0
-    elif len(Z) == 1 and like_sums[0] > 0.0 and pd_bar > 0.0:
-        # zero-clutter limit: the detection hypothesis dominates
-        r_new = 1.0
-        weights = weights[len(pred.weights):] if pd_bar < 1.0 else weights
-        comps = comps[len(pred.components):] if pd_bar < 1.0 else comps
+    if clutter_intensity == 0.0 and detect:
+        # zero-clutter limit: the one measurement is the target's
+        hyps, r_new = detect, 1.0
     else:
-        # no measurement (or zero-likelihood measurement): misdetection only
-        delta = pd_bar
+        if clutter_intensity > 0.0:
+            hyps, delta = miss + detect, pd_bar * (1.0 - like_total / clutter_intensity)
+        else:
+            # no measurement (or zero-likelihood measurement): misdetection only
+            hyps, delta = miss, pd_bar
         denom = 1.0 - pred.r * delta
         r_new = pred.r * (1.0 - delta) / denom if denom > 0.0 else 0.0
-        weights = weights[:len(pred.weights)]
-        comps = comps[:len(pred.components)]
 
     r_new = float(np.clip(r_new, 0.0, 1.0))
-    # drop hypotheses whose weight underflowed to zero
-    kept = [(w, g) for w, g in zip(weights, comps) if w > 0.0]
+    # drop hypotheses whose weight is nil (misses at p_D = 1) or underflowed to zero
+    kept = [(w, g) for w, g in hyps if w > 0.0]
     if r_new == 0.0 or not kept:
         return empty_density()
     w = np.asarray([k[0] for k in kept])

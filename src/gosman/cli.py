@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
+from .bernoulli import ncv_motion_model
 from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, default_label,
                      load_config, parse_config)
 from .planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="GOSPA-driven sensor management for Bernoulli filtering")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="path to a JSON scenario configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration seed")
@@ -63,11 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of worker processes (0 = serial)")
 
     p_val = sub.add_parser("validate", help="validate a configuration file")
-    common(p_val, config_required=True)
+    common(p_val)
 
     p_orc = sub.add_parser("oracle",
                            help="check the tree search against exhaustive planning")
-    common(p_orc, config_required=False)
+    p_orc.add_argument("--seed", type=int, default=0,
+                       help="seed of the built-in scenarios")
     p_orc.add_argument("--budget", type=int, default=200,
                        help="tree-search node budget for the check")
     p_orc.add_argument("--horizon", type=int, default=3,
@@ -132,14 +133,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _apply_overrides(load_config(args.config), args)
     json.dump(cfg.resolved_dict(), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 
 
 def oracle_scenarios(seed: int):
-    """Small planning problems with three feasible actions."""
+    """Small planning problems with three feasible actions: (i, belief, position, env)."""
     motion = ncv_motion_model(1.0, 5.0, 0.99, 0.1,
                               np.array([10.0, 0.0, 10.0, 0.0]),
                               np.diag([400.0, 25.0, 400.0, 25.0]))
@@ -149,19 +150,18 @@ def oracle_scenarios(seed: int):
         mean = np.array([rng.uniform(8, 32), rng.uniform(-2, 2),
                          rng.uniform(8, 32), rng.uniform(-2, 2)])
         cov = np.diag(rng.uniform([50, 10, 50, 10], [300, 40, 300, 40]))
-        density = BernoulliDensity(float(rng.uniform(0.3, 0.9)),
-                                   np.array([1.0]), (Gaussian(mean, cov),))
+        belief = (float(rng.uniform(0.3, 0.9)), mean, cov)
         # a position at the left edge leaves exactly three in-bounds moves
         position = np.array([1.0, 20.0])
         env = PlanningEnv(motion=motion, obstacles=ObstacleMap(), bounds=bounds,
                           fov_radius=12.0, step_size=6.0, num_actions=4,
                           p_detect=0.9, H=OBSERVATION_MATRIX,
                           r_low=10.0, r_high=50.0, c=20.0)
-        yield i, density, position, env
+        yield i, belief, position, env
 
 
 def _cmd_oracle(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     horizon = args.horizon
     if seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
@@ -178,13 +178,13 @@ def _cmd_oracle(args) -> int:
                           f"horizon {horizon}, got {args.budget}")
     discount = 0.7
     failures = 0
-    for i, density, position, env in scenarios:
+    for i, belief, position, env in scenarios:
         base_key = (seed, 100 + i, 0)
         oracle_action, oracle_value = exhaustive_bellman(
-            density, position, env, horizon, discount)
+            belief, position, env, horizon, discount)
         cfg = PlannerConfig(horizon=horizon, discount=discount, exploration=0.05,
                             budget=args.budget, rollout="exhaustive")
-        result = mcts_search(density, position, env, cfg, base_key)
+        result = mcts_search(belief, position, env, cfg, base_key)
         diff = abs(-result.value - oracle_value)
         ok = result.action.id == oracle_action.id and diff <= 1e-9
         status = "ok" if ok else "FAIL"

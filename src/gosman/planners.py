@@ -19,12 +19,13 @@ probability of each action comes from a deterministic rule
 action from the same belief sees the same number. Only the tree search
 draws random numbers, from its own stream.
 
-Each planner converts the filter's ``BernoulliDensity`` once, at the
-root, into a plain ``(r, mean, cov)`` belief; the inner loop works on
-such arrays only (see ``costs``). Within one decision the feasible
-actions from a sensor position are enumerated once, and the
-detection-branch covariance of a predicted belief is computed once per
-noise class. Nothing is cached across decisions.
+The closed loop hands every planner the predicted belief as a plain
+``(r, mean, cov)`` tuple: ``planning_belief`` of the density reduced to
+one component. The inner loop works on such arrays only (see
+``costs``). Within one decision the feasible actions from a sensor
+position are enumerated once, and the detection-branch covariance of a
+predicted belief is computed once per noise class. Nothing is cached
+across decisions.
 """
 
 import math
@@ -168,7 +169,7 @@ def exhaustive_max_horizon(n_actions: int) -> int:
     return horizon
 
 
-def exhaustive_bellman(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
+def exhaustive_bellman(belief: tuple, sensor_position, env: PlanningEnv,
                        horizon: int, discount: float) -> Tuple[Action, float]:
     """Exact finite-horizon minimisation over all action sequences.
 
@@ -180,8 +181,8 @@ def exhaustive_bellman(root_density: BernoulliDensity, sensor_position, env: Pla
     actions = _action_table(env)
     if not 1 <= horizon <= exhaustive_max_horizon(len(actions(sensor_position))):
         raise ValueError("exhaustive horizon below 1 or too large to enumerate")
-    value, action = _bellman_value(env, actions, planning_belief(root_density),
-                                   sensor_position, horizon, discount)
+    value, action = _bellman_value(env, actions, belief, sensor_position, horizon,
+                                   discount)
     return action, value
 
 
@@ -201,11 +202,9 @@ def _bellman_value(env, actions, pred, position, steps_left, discount):
     return best_value, best_action
 
 
-def myopic_plan(root_density: BernoulliDensity, sensor_position,
-                env: PlanningEnv) -> Action:
+def myopic_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Minimise the one-step expected MSGOSPA bound."""
-    action, _ = exhaustive_bellman(root_density, sensor_position, env,
-                                   horizon=1, discount=0.0)
+    action, _ = exhaustive_bellman(belief, sensor_position, env, horizon=1, discount=0.0)
     return action
 
 
@@ -272,7 +271,7 @@ class MctsResult:
     root: TreeNode
 
 
-def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEnv,
+def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
                 cfg: PlannerConfig, base_key: tuple = (0,)) -> MctsResult:
     """Grow a search tree within the node budget and pick the best root child.
 
@@ -284,7 +283,7 @@ def mcts_search(root_density: BernoulliDensity, sensor_position, env: PlanningEn
     actions = _action_table(env)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position,
-                    pred=planning_belief(root_density),
+                    pred=belief,
                     immediate_cost=0.0, untried=actions(sensor_position))
     if cfg.rollout == "exhaustive" and \
             cfg.horizon > exhaustive_max_horizon(len(root.untried)):
@@ -358,12 +357,10 @@ def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> floa
 # baselines
 
 
-def nearest_sensor_plan(root_density: BernoulliDensity, sensor_position,
-                        env: PlanningEnv) -> Action:
+def nearest_sensor_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Move to the feasible action closest to the predicted positional mean."""
-    idx = list(POSITION_INDICES)
-    mean = root_density.top_component.mean[idx] if root_density.components else \
-        np.asarray(sensor_position, dtype=float)
+    _, mean, _ = belief
+    mean = mean[list(POSITION_INDICES)]
     best, best_d = None, math.inf
     for action in env.actions_from(sensor_position):
         d = float(np.linalg.norm(action.target_position - mean))
@@ -411,15 +408,14 @@ def _bernoulli_kl(posterior_r: float, predicted_r: float, gauss: float) -> float
     return existence + predicted_r * gauss
 
 
-def kl_plan(root_density: BernoulliDensity, sensor_position,
-            env: PlanningEnv) -> Action:
+def kl_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Maximise the expected information gain over the two observation branches.
 
     Both branches keep the predicted mean, and the misdetection branch its
     covariance, so the Gaussian terms depend on the noise class only: they
     are computed once per class, not once per action.
     """
-    r, mean, cov = planning_belief(root_density)
+    r, mean, cov = belief
     gauss_miss = _gaussian_kl(mean, cov, mean, cov)
     gauss_detect = {}
     best, best_score = None, -math.inf
@@ -445,9 +441,10 @@ def kl_plan(root_density: BernoulliDensity, sensor_position,
 
 @dataclass
 class Policy:
-    """A named ``plan(predicted, sensor_position, step_key) -> Action``.
+    """A named ``plan(belief, sensor_position, step_key) -> Action``.
 
-    ``plan`` is a plain attribute so callers may wrap it.
+    ``belief`` is the predicted ``(r, mean, cov)`` tuple. ``plan`` is a
+    plain attribute so callers may wrap it.
     """
 
     name: str

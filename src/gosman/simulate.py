@@ -21,7 +21,7 @@ from . import streams
 from .bernoulli import empty_density, extract_estimate, predict, reduce, update
 from .config import PolicySpec, ScenarioConfig
 from .gospa import GospaResult, RmsGospaSeries, gospa, rms_gospa
-from .planners import make_policy
+from .planners import make_policy, planning_belief
 from .sensors import expected_pd, generate_measurements
 
 # filter settings: importance samples per PD estimate, mixture size cap and
@@ -136,12 +136,13 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     for t in range(cfg.duration):
         try:
             pred = predict(posterior, env.motion)
-            pred_plan = reduce(pred, max_components=1)
+            belief = planning_belief(reduce(pred, max_components=1)) \
+                if pred.components else None
 
             step_key = (cfg.seed, run, t)
             t0 = time.perf_counter()
-            if pred_plan.components:
-                action = policy.plan(pred_plan, sensor_position, step_key)
+            if belief is not None:
+                action = policy.plan(belief, sensor_position, step_key)
             else:
                 action = min(env.actions_from(sensor_position), key=lambda a: a.id)
             plan_seconds = time.perf_counter() - t0
@@ -154,14 +155,11 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
             Z = generate_measurements(truth[t], sensor, model.H, model.R,
                                       cfg.clutter_rate, meas_rng)
 
-            if pred.components:
-                pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
-                pd_bar = sum(w * expected_pd(g, sensor, FILTER_PD_SAMPLES, pd_rng)
-                             for w, g in zip(pred.weights, pred.components))
-                pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
-                posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
-            else:
-                posterior = pred
+            pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
+            pd_bar = sum(w * expected_pd(g, sensor, FILTER_PD_SAMPLES, pd_rng)
+                         for w, g in zip(pred.weights, pred.components))
+            pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
+            posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
             posterior = reduce(posterior, FILTER_MAX_COMPONENTS, FILTER_PRUNE)
 
             estimate = extract_estimate(posterior, cfg.gospa_c)

@@ -33,6 +33,31 @@ def test_make_psd_rejects_indefinite():
         make_psd(np.diag([1.0, -0.5]))
 
 
+def test_make_psd_tolerance_follows_the_scale():
+    # rounding error of a covariance grows with its largest eigenvalue
+    out = make_psd(np.diag([1e10, -1e-5]))
+    assert np.array_equal(out, np.diag([1e10, 0.0]))
+    with pytest.raises(ValueError):
+        make_psd(np.diag([1e10, -100.0]))
+
+
+def test_update_at_covariance_scale_1e10():
+    # a detection at the predicted position cancels most of a huge
+    # covariance; the rounding left over must not be taken for indefiniteness
+    sensor = LinearSensor(H2, 1e-6 * np.eye(2))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 4))
+        cov = 1e10 * (a @ a.T + 1e-3 * np.eye(4))
+        pred = _single(0.5, rng.standard_normal(4), cov)
+        z = H2 @ pred.components[0].mean
+        post = update(pred, [z], sensor, pd_bar=0.9, clutter_intensity=1e-4)
+        assert 0.0 < post.r <= 1.0 and len(post.components) == 2
+        for g in post.components:
+            w = np.linalg.eigvalsh(g.cov)
+            assert w[0] >= -1e-9 * w[-1]
+
+
 def test_density_weight_normalisation():
     d = BernoulliDensity(0.5, np.array([2.0, 6.0]),
                          (Gaussian(np.zeros(2), np.eye(2)),
@@ -143,6 +168,44 @@ def test_update_far_measurement_acts_like_clutter():
                   pd_bar=0.9, clutter_intensity=1e-4)
     expected = 0.5 * (1.0 - 0.9) / (1.0 - 0.5 * 0.9)
     assert post.r == pytest.approx(expected, rel=1e-6)
+
+
+def _mvn_pdf(z, mean, cov):
+    d = z - mean
+    return float(np.exp(-0.5 * d @ np.linalg.solve(cov, d))
+                 / (2.0 * np.pi * np.sqrt(np.linalg.det(cov))))
+
+
+def test_update_mixture_in_clutter_matches_hand_enumeration():
+    R = np.diag([2.0, 3.0])
+    sensor = LinearSensor(H2, R)
+    r, pd_bar, lam = 0.6, 0.8, 2e-3
+    w = np.array([0.3, 0.7])
+    comps = (Gaussian(np.array([0.0, 1.0, 0.0, -1.0]), np.diag([4.0, 1.0, 4.0, 1.0])),
+             Gaussian(np.array([5.0, 0.0, 3.0, 0.5]), np.diag([9.0, 2.0, 2.0, 1.0])))
+    pred = BernoulliDensity(r, w, comps)
+    Z = [np.array([1.0, 0.5]), np.array([4.0, 2.5])]
+    post = update(pred, Z, sensor, pd_bar, lam)
+
+    # misdetection of each component, then one detection per (measurement, component)
+    want_w = [wi * (1.0 - pd_bar) for wi in w]
+    want_g = [(g.mean, g.cov) for g in comps]
+    like_total = 0.0
+    for z in Z:
+        for wi, g in zip(w, comps):
+            S = H2 @ g.cov @ H2.T + R
+            K = g.cov @ H2.T @ np.linalg.inv(S)
+            like = wi * _mvn_pdf(z, H2 @ g.mean, S)
+            like_total += like
+            want_w.append(pd_bar * like / lam)
+            want_g.append((g.mean + K @ (z - H2 @ g.mean), g.cov - K @ S @ K.T))
+    delta = pd_bar * (1.0 - like_total / lam)
+    assert post.r == pytest.approx(r * (1.0 - delta) / (1.0 - r * delta), rel=1e-12)
+    assert post.weights == pytest.approx(np.array(want_w) / sum(want_w), rel=1e-12)
+    assert len(post.components) == 6
+    for got, (mean, cov) in zip(post.components, want_g):
+        assert got.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        assert got.cov == pytest.approx(cov, rel=1e-12, abs=1e-12)
 
 
 def test_update_empty_prior_stays_empty():

@@ -167,6 +167,15 @@ def test_validate_echoes_resolved_config(tmp_path, capsys):
     assert doc["schema_version"] == 1
 
 
+def test_validate_applies_overrides(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_raw())
+    assert main(["validate", "--config", cfg, "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    # the override goes through the same validation as the file
+    assert main(["validate", "--config", cfg, "--seed", "-1"]) == 1
+    assert "config.seed" in capsys.readouterr().err
+
+
 def test_validate_bad_config_exits_1(tmp_path, capsys):
     raw = small_raw()
     raw["gospa"]["c"] = -1.0
@@ -218,6 +227,14 @@ def test_removed_keys_are_rejected(tmp_path, capsys, block, key, value):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"{where}: unknown keys: ['{key}']\n"
     assert not out.exists()
+
+
+def test_oracle_takes_no_config(tmp_path, capsys):
+    # the oracle runs built-in scenarios; a --config would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_oracle_small_horizon_passes(capsys):

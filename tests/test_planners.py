@@ -25,14 +25,13 @@ def _env(num_actions=4):
                        p_detect=0.9, H=H2, r_low=10.0, r_high=50.0, c=20.0)
 
 
-def _density(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
-    g = Gaussian(np.array(mean), np.diag([80.0, 16.0, 80.0, 16.0]))
-    return BernoulliDensity(r, np.array([1.0]), (g,))
+def _belief(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
+    return r, np.array(mean), np.diag([80.0, 16.0, 80.0, 16.0])
 
 
 def test_evaluate_action_cost_matches_components():
     env = _env()
-    pred = planning_belief(_density())
+    pred = _belief()
     action = env.actions_from(np.array([30.0, 30.0]))[0]
     detect_covs = {}
     cost, (r, mean, cov) = evaluate_action(env, pred, action, detect_covs)
@@ -50,13 +49,13 @@ def test_planning_belief_requires_single_component():
     mixture = BernoulliDensity(0.5, np.array([0.5, 0.5]), (g, g))
     with pytest.raises(ValueError):
         planning_belief(mixture)
-    with pytest.raises(ValueError):
-        myopic_plan(mixture, np.array([30.0, 30.0]), _env())
+    r, mean, cov = planning_belief(BernoulliDensity(0.5, np.array([1.0]), (g,)))
+    assert r == 0.5 and mean is g.mean and cov is g.cov
 
 
 def test_exhaustive_bellman_prefers_covering_action():
     env = _env()
-    pred = _density(r=0.8)
+    pred = _belief(r=0.8)
     # sensor east of the target: moving west (action id 2) points at it
     action, value = exhaustive_bellman(pred, np.array([40.0, 30.0]), env,
                                        horizon=2, discount=0.7)
@@ -75,7 +74,7 @@ def test_actions_enumerated_once_per_position_per_decision(monkeypatch):
 
     monkeypatch.setattr(planners, "enumerate_actions", counting)
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([35.0, 30.0])
     cfg = PlannerConfig(horizon=4, discount=0.7, budget=15)
     for decide in (lambda: mcts_search(pred, pos, env, cfg, base_key=(3,)),
@@ -92,7 +91,7 @@ def test_actions_enumerated_once_per_position_per_decision(monkeypatch):
 def test_exhaustive_bellman_guard():
     env = _env(num_actions=6)
     with pytest.raises(ValueError):
-        exhaustive_bellman(_density(), np.array([50.0, 50.0]), env,
+        exhaustive_bellman(_belief(), np.array([50.0, 50.0]), env,
                            horizon=12, discount=0.7)
 
 
@@ -104,12 +103,12 @@ def test_mcts_exhaustive_rollout_guard(monkeypatch, horizon):
     monkeypatch.setattr(planners, "evaluate_action", None)
     cfg = PlannerConfig(horizon=horizon, rollout="exhaustive")
     with pytest.raises(ValueError, match="too large to enumerate"):
-        mcts_search(_density(), np.array([50.0, 50.0]), env, cfg)
+        mcts_search(_belief(), np.array([50.0, 50.0]), env, cfg)
 
 
 def test_myopic_is_horizon_one_bellman():
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([40.0, 30.0])
     a = myopic_plan(pred, pos, env)
     b, _ = exhaustive_bellman(pred, pos, env, horizon=1, discount=0.0)
@@ -118,7 +117,7 @@ def test_myopic_is_horizon_one_bellman():
 
 def test_mcts_matches_oracle_with_exhausting_budget():
     env = _env(num_actions=3)
-    pred = _density()
+    pred = _belief()
     pos = np.array([30.0, 30.0])
     horizon = 2
     oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon, 0.7)
@@ -135,7 +134,7 @@ def test_mcts_matches_oracle_on_a_nonzero_optimum():
     # sensor north of the target: the optimum moves south, action id 3, so a
     # search that fell back to the lowest id would fail here
     env = _env()
-    pred = _density(r=0.8)
+    pred = _belief(r=0.8)
     pos = np.array([30.0, 40.0])
     horizon = 3
     oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon, 0.7)
@@ -152,7 +151,7 @@ def test_mcts_matches_oracle_on_a_nonzero_optimum():
 
 def test_mcts_zero_discount_matches_myopic():
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([40.0, 30.0])
     cfg = PlannerConfig(horizon=5, discount=0.0, budget=10)
     a = mcts_search(pred, pos, env, cfg, base_key=(13,)).action
@@ -162,7 +161,7 @@ def test_mcts_zero_discount_matches_myopic():
 
 def test_mcts_deterministic_for_fixed_key():
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([35.0, 30.0])
     cfg = PlannerConfig(horizon=4, discount=0.7, budget=15)
     r1 = mcts_search(pred, pos, env, cfg, base_key=(21, 0, 7))
@@ -173,7 +172,7 @@ def test_mcts_deterministic_for_fixed_key():
 
 def test_mcts_budget_counts_expansions():
     env = _env()
-    pred = _density()
+    pred = _belief()
     cfg = PlannerConfig(horizon=4, discount=0.7, budget=7)
     result = mcts_search(pred, np.array([35.0, 30.0]), env, cfg, base_key=(3,))
 
@@ -228,7 +227,7 @@ def test_uct_prefers_unvisited_balance():
 
 def test_nearest_sensor_moves_towards_mean():
     env = _env()
-    pred = _density(mean=(10.0, 0.0, 30.0, 0.0))
+    pred = _belief(mean=(10.0, 0.0, 30.0, 0.0))
     action = nearest_sensor_plan(pred, np.array([40.0, 30.0]), env)
     assert action.id == 2  # west
 
@@ -258,7 +257,7 @@ def test_kl_degenerate_branch():
 
 def test_kl_plan_returns_feasible_action():
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([35.0, 30.0])
     ids = {a.id for a in env.actions_from(pos)}
     assert kl_plan(pred, pos, env).id in ids
@@ -266,7 +265,7 @@ def test_kl_plan_returns_feasible_action():
 
 def test_make_policy_dispatch():
     env = _env()
-    pred = _density()
+    pred = _belief()
     pos = np.array([35.0, 30.0])
     key = (2,)
     expected = {"ns": nearest_sensor_plan(pred, pos, env),

@@ -128,13 +128,12 @@ positions = arrays(float, 2, elements=st.floats(0.0, 100.0)).filter(
 @given(beliefs(), st.sampled_from([0.0, 0.9, 1.0]), positions)
 def test_every_planner_returns_a_feasible_action(bel, p_detect, position):
     env = _env(p_detect)
-    density = BernoulliDensity(bel[0], np.array([1.0]), (Gaussian(bel[1], bel[2]),))
     feasible = {a.id: a.target_position for a in env.actions_from(position)}
     cfg = PlannerConfig(horizon=3, discount=0.7, budget=6)
-    actions = [nearest_sensor_plan(density, position, env),
-               myopic_plan(density, position, env),
-               kl_plan(density, position, env),
-               mcts_search(density, position, env, cfg).action]
+    actions = [nearest_sensor_plan(bel, position, env),
+               myopic_plan(bel, position, env),
+               kl_plan(bel, position, env),
+               mcts_search(bel, position, env, cfg).action]
     for action in actions:
         assert action.id in feasible
         assert np.array_equal(action.target_position, feasible[action.id])

@@ -89,9 +89,9 @@ def test_run_episode_plans_through_policy_attribute(monkeypatch):
         policy = real_make_policy(spec, env)
         plan = policy.plan
 
-        def recorded(predicted, sensor_position, step_key):
-            calls.append((step_key, len(predicted.components)))
-            return plan(predicted, sensor_position, step_key)
+        def recorded(belief, sensor_position, step_key):
+            calls.append((step_key, belief))
+            return plan(belief, sensor_position, step_key)
 
         policy.plan = recorded
         return policy
@@ -100,7 +100,9 @@ def test_run_episode_plans_through_policy_attribute(monkeypatch):
     m = run_episode(cfg, cfg.policy, run=1)
     assert len(m.steps) == cfg.duration
     assert [k for k, _ in calls] == [(cfg.seed, 1, t) for t in range(cfg.duration)]
-    assert all(n == 1 for _, n in calls)
+    # the loop hands planners the (r, mean, cov) arrays of one Gaussian
+    for _, (r, mean, cov) in calls:
+        assert 0.0 < r <= 1.0 and mean.shape == (4,) and cov.shape == (4, 4)
 
 
 def test_sensor_moves_at_most_one_step():
