@@ -9,7 +9,8 @@ Subcommands:
 * ``oracle``   -- verify the tree search against the exhaustive planner
   on small built-in scenarios.
 
-Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
+Exit codes: 0 success, 1 invalid configuration or command line, 2 runtime
+failure.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import numpy as np
 from .bernoulli import ncv_motion_model
 from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, default_label,
                      load_config, parse_config)
-from .planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
+from .planners import (PlannerConfig, PlanningEnv, axis_belief, exhaustive_bellman,
                        exhaustive_max_horizon, mcts_search)
 from .sensors import Bounds, ObstacleMap
 from .simulate import run_batch, run_comparison, write_metrics_csv, write_summary_json
@@ -150,7 +151,7 @@ def oracle_scenarios(seed: int):
         mean = np.array([rng.uniform(8, 32), rng.uniform(-2, 2),
                          rng.uniform(8, 32), rng.uniform(-2, 2)])
         cov = np.diag(rng.uniform([50, 10, 50, 10], [300, 40, 300, 40]))
-        belief = (float(rng.uniform(0.3, 0.9)), mean, cov)
+        belief = axis_belief(rng.uniform(0.3, 0.9), mean, cov)
         # a position at the left edge leaves exactly three in-bounds moves
         position = np.array([1.0, 20.0])
         env = PlanningEnv(motion=motion, obstacles=ObstacleMap(), bounds=bounds,
@@ -199,8 +200,10 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 for a rejected command line, 0 for --help
+        return 1 if exc.code == 2 else exc.code
     commands = {"run": _cmd_run, "compare": _cmd_compare,
                 "validate": _cmd_validate, "oracle": _cmd_oracle}
     try:

@@ -8,12 +8,13 @@ Under these the one-step-ahead posterior has exactly two branches
 optimal-threshold set estimator admits a cheap closed-form upper bound,
 which is the planning cost.
 
-A planning belief is a plain ``(r, mean, cov)`` tuple: these functions
-take and return arrays, and the validated ``BernoulliDensity`` exists
-only at the filter boundary. Covariances are symmetrised where the
-filter's constructors would do it, without their eigenvalue check;
-``tests/test_planning_kernel.py`` checks at the extremes that r stays
-in [0, 1] and covariances stay positive semi-definite.
+A planning belief is a plain ``(r, mean, bx, by)`` tuple of floats:
+``mean`` is [px, vx, py, vy], and ``bx``, ``by`` hold the ``(p, c, v)``
+entries of the x- and y-axis [position, velocity] covariance blocks,
+since planning covariances never couple the axes. These functions do
+scalar arithmetic, which at a unit time step equals the 4 x 4 matrix
+products bit for bit; ``tests/test_planning_kernel.py`` checks that, and
+the invariants (r in [0, 1], PSD blocks) at the extremes.
 """
 
 from typing import NamedTuple, Tuple
@@ -23,19 +24,21 @@ import numpy as np
 from .bernoulli import position_trace, threshold_for_trace
 
 
-def pseudo_update(cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Detection-branch covariance of the two-branch pseudo-update.
+def pseudo_update(pred: tuple, noise: float) -> tuple:
+    """Detection-branch blocks ``(bx, by)`` of the two-branch pseudo-update.
 
     The ideal measurement sits at the predicted mean, so both branches
-    keep the predicted mean and the misdetection branch keeps the
-    predicted covariance; detection applies the Kalman covariance
-    update. It depends on the noise class only, not on the detection
-    probability, so callers reuse it across actions of the same class.
+    keep it and the misdetection branch keeps the predicted covariance;
+    detection applies the Kalman update of a position measurement with
+    variance ``noise`` per axis. Callers reuse it across the actions of a
+    noise class, as it does not depend on the detection probability.
     """
-    S = H @ cov @ H.T + R
-    S_inv = np.linalg.inv(S)
-    P1 = cov - cov @ H.T @ S_inv @ H @ cov
-    return 0.5 * (P1 + P1.T)
+    (p, c, v), (P, C, V) = pred[2:]
+    ix, iy = 1.0 / (p + noise), 1.0 / (P + noise)
+    return ((p - (p * ix) * p, 0.5 * ((c - (p * ix) * c) + (c - (c * ix) * p)),
+             v - (c * ix) * c),
+            (P - (P * iy) * P, 0.5 * ((C - (P * iy) * C) + (C - (C * iy) * P)),
+             V - (C * iy) * C))
 
 
 def branch_weights(r: float, pd_bar: float) -> Tuple[float, float]:
@@ -72,25 +75,27 @@ def msgospa_bound(r: float, cov: np.ndarray, c: float) -> BoundResult:
     return BoundResult(_cost_at_threshold(threshold, r, tr, c), threshold)
 
 
-def node_cost(pred: tuple, detect_cov: np.ndarray, pd_bar: float, c: float) -> float:
-    """Expected planning cost over the two observation hypotheses."""
-    r, _, cov = pred
+def node_cost(pred: tuple, detect: tuple, pd_bar: float, c: float) -> float:
+    """Expected planning cost over the two observations; ``detect`` is ``(bx, by)``."""
+    r, _, bx, by = pred
     r_miss, p = branch_weights(r, pd_bar)
-    miss = msgospa_bound(r_miss, cov, c).cost
-    detect = msgospa_bound(1.0, detect_cov, c).cost
-    return (1.0 - p) * miss + p * detect
+    tr, tr_hit = bx[0] + by[0], detect[0][0] + detect[1][0]
+    miss = _cost_at_threshold(threshold_for_trace(tr, c), r_miss, tr, c)
+    hit = _cost_at_threshold(threshold_for_trace(tr_hit, c), 1.0, tr_hit, c)
+    return (1.0 - p) * miss + p * hit
 
 
-def merge_hypotheses(pred: tuple, detect_cov: np.ndarray, pd_bar: float) -> tuple:
-    """Moment-match the two branches into one ``(r, mean, cov)`` belief.
+def merge_hypotheses(pred: tuple, detect: tuple, pd_bar: float) -> tuple:
+    """Moment-match the two branches into one ``(r, mean, bx, by)`` belief.
 
-    r, mean and covariance combine linearly with the detection-event
-    weights. The mean-spread term of a full moment match is zero because
-    both branches share the predicted mean. Both covariances are
-    symmetric, so their weighted sum is too, bit for bit.
+    Everything combines element by element with the detection-event
+    weights; the mean-spread term is zero as both branches share the mean.
     """
-    r, mean, cov = pred
+    r, (px, vx, py, vy), (p, c, v), (P, C, V) = pred
+    (p1, c1, v1), (P1, C1, V1) = detect
     r_miss, w1 = branch_weights(r, pd_bar)
     w0 = 1.0 - w1
-    return (min(w0 * r_miss + w1, 1.0), w0 * mean + w1 * mean,
-            w0 * cov + w1 * detect_cov)
+    return (min(w0 * r_miss + w1, 1.0),
+            (w0 * px + w1 * px, w0 * vx + w1 * vx, w0 * py + w1 * py, w0 * vy + w1 * vy),
+            (w0 * p + w1 * p1, w0 * c + w1 * c1, w0 * v + w1 * v1),
+            (w0 * P + w1 * P1, w0 * C + w1 * C1, w0 * V + w1 * V1))

@@ -20,26 +20,25 @@ action from the same belief sees the same number. Only the tree search
 draws random numbers, from its own stream.
 
 The closed loop hands every planner the predicted belief as a plain
-``(r, mean, cov)`` tuple: ``planning_belief`` of the density reduced to
-one component. The inner loop works on such arrays only (see
-``costs``). Within one decision the feasible actions from a sensor
-position are enumerated once, and the detection-branch covariance of a
-predicted belief is computed once per noise class. Nothing is cached
-across decisions.
+``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and
+the inner loop is float arithmetic on such tuples. Within one decision
+the actions from a sensor position are enumerated once, the greedy
+policies get all their detection probabilities from one call, and the
+detection-branch blocks of a belief are computed once per noise class.
+Nothing is cached across decisions.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import streams
 from .bernoulli import BernoulliDensity, Gaussian, LinearSensor, MotionModel
 from .costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
-from .gospa import POSITION_INDICES
 from .sensors import (Action, Bounds, ObstacleMap, SensorState, enumerate_actions,
-                      noise_matrix)
+                      noise_matrix, noise_variance)
 # planning looks its PD up under this module-level name, which the layer
 # tracer (perfbench/tracer.py) wraps as the planning PD
 from .sensors import gaussian_disc_pd as expected_pd
@@ -60,6 +59,19 @@ class PlanningEnv:
     r_low: float
     r_high: float
     c: float
+    # per-axis motion: time step, Q block (q00, q01, q11) and birth belief
+    axis_motion: tuple = field(init=False)
+
+    def __post_init__(self):
+        F, Q, birth = self.motion.F, self.motion.Q, self.motion.birth
+        tau = float(F[0, 1])
+        if not (np.array_equal(F, np.kron(np.eye(2), [[1.0, tau], [0.0, 1.0]]))
+                and np.array_equal(Q, np.kron(np.eye(2), Q[:2, :2]))
+                and np.array_equal(self.H, np.eye(4)[[0, 2]])):
+            raise ValueError("planning needs per-axis motion and position measurements")
+        q = tuple(Q[[0, 0, 1], [0, 1, 1]].tolist())
+        object.__setattr__(self, "axis_motion",
+                           (tau, q, axis_belief(0.0, birth.mean, birth.cov)[1:]))
 
     def sensor_at(self, position) -> SensorState:
         return SensorState(position, self.fov_radius, self.step_size,
@@ -93,12 +105,21 @@ class PlannerConfig:
                 f"rollout must be 'random' or 'exhaustive', got {self.rollout!r}")
 
 
+def axis_belief(r: float, mean, cov) -> tuple:
+    """``(r, mean, bx, by)`` of a [px, vx, py, vy] Gaussian without cross-axis terms."""
+    cov = np.asarray(cov, dtype=float)
+    if np.any(cov[:2, 2:]) or np.any(cov[2:, :2]):
+        raise ValueError("planning needs a covariance without cross-axis terms")
+    (p, c, _, _), (_, v, _, _), (_, _, P, C), (_, _, _, V) = cov.tolist()
+    return float(r), tuple(np.asarray(mean, dtype=float).tolist()), (p, c, v), (P, C, V)
+
+
 def planning_belief(density: BernoulliDensity) -> tuple:
-    """The ``(r, mean, cov)`` arrays of a single-component density."""
+    """The ``(r, mean, bx, by)`` belief of a single-component density."""
     if len(density.components) != 1:
         raise ValueError("planning requires a single-component density")
     g = density.components[0]
-    return density.r, g.mean, g.cov
+    return axis_belief(density.r, g.mean, g.cov)
 
 
 def _action_table(env: PlanningEnv) -> Callable:
@@ -117,44 +138,49 @@ def _action_table(env: PlanningEnv) -> Callable:
     return actions_from
 
 
-def _detect_cov(env: PlanningEnv, cov: np.ndarray, noise_class: str) -> np.ndarray:
-    """Detection-branch covariance of ``cov`` under one noise class."""
-    return pseudo_update(cov, env.H, noise_matrix(noise_class, env.r_low, env.r_high))
+def _plan_pd(env: PlanningEnv, pred: tuple, actions: list) -> list:
+    """Detection probabilities of ``pred`` for each action, from one call."""
+    _, mean, bx, by = pred
+    return expected_pd(mean[0], mean[2], bx[0], by[0],
+                       np.array([a.target_position for a in actions]),
+                       env.fov_radius, env.p_detect).tolist()
 
 
 def evaluate_action(env: PlanningEnv, pred: tuple, action: Action,
-                    detect_covs: dict) -> Tuple[float, tuple]:
+                    detect: dict, pd_bar: Optional[float] = None) -> Tuple[float, tuple]:
     """Cost and merged posterior of taking one action from a predicted belief.
 
-    ``pred`` is ``(r, mean, cov)``; ``detect_covs`` holds its
-    detection-branch covariances by noise class and is filled on demand.
+    ``detect`` holds the detection-branch blocks of ``pred`` by noise class,
+    filled on demand; ``pd_bar`` is computed if the caller has not batched it.
     """
-    _, mean, cov = pred
-    pd_bar = expected_pd(mean, cov, action.target_position, env.fov_radius,
-                         env.p_detect)
-    P1 = detect_covs.get(action.noise_class)
-    if P1 is None:
-        P1 = detect_covs[action.noise_class] = _detect_cov(env, cov, action.noise_class)
-    return (node_cost(pred, P1, pd_bar, env.c),
-            merge_hypotheses(pred, P1, pd_bar))
+    if pd_bar is None:
+        pd_bar = _plan_pd(env, pred, [action])[0]
+    nc = action.noise_class
+    blocks = detect.get(nc)
+    if blocks is None:
+        blocks = detect[nc] = pseudo_update(pred, noise_variance(nc, env.r_low, env.r_high))
+    return (node_cost(pred, blocks, pd_bar, env.c),
+            merge_hypotheses(pred, blocks, pd_bar))
 
 
-def _predict_reduced(bel: tuple, motion: MotionModel) -> tuple:
+def _predict_reduced(bel: tuple, env: PlanningEnv) -> tuple:
     """Single-step prediction keeping only the higher-weighted component.
 
     The predicted mixture has a birth component of weight
     p_B (1 - r) / r' and a survivor of weight p_S r / r'; the survivor
     wins ties.
     """
-    r, mean, cov = bel
-    r_birth = motion.p_birth * (1.0 - r)
-    r_surv = motion.p_survival * r
+    r, (px, vx, py, vy), (p, c, v), (P, C, V) = bel
+    tau, q, birth = env.axis_motion
+    r_birth = env.motion.p_birth * (1.0 - r)
+    r_surv = env.motion.p_survival * r
     r_pred = min(r_birth + r_surv, 1.0)
     if r_surv < r_birth:
-        return r_pred, motion.birth.mean, motion.birth.cov
-    F = motion.F
-    cov = F @ cov @ F.T + motion.Q
-    return r_pred, F @ mean, 0.5 * (cov + cov.T)
+        return (r_pred,) + birth
+    # F P F^T + Q on each axis, with F = [[1, tau], [0, 1]]
+    return (r_pred, (px + tau * vx, vx, py + tau * vy, vy),
+            ((p + tau * c) + (c + tau * v) * tau + q[0], c + tau * v + q[1], v + q[2]),
+            ((P + tau * C) + (C + tau * V) * tau + q[0], C + tau * V + q[1], V + q[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +215,12 @@ def exhaustive_bellman(belief: tuple, sensor_position, env: PlanningEnv,
 def _bellman_value(env, actions, pred, position, steps_left, discount):
     """Least discounted cost of ``steps_left >= 1`` actions from a predicted belief."""
     best_value, best_action = math.inf, None
-    detect_covs = {}
-    for action in actions(position):
-        value, merged = evaluate_action(env, pred, action, detect_covs)
+    detect = {}
+    choices = actions(position)
+    for action, pd_bar in zip(choices, _plan_pd(env, pred, choices)):
+        value, merged = evaluate_action(env, pred, action, detect, pd_bar)
         if steps_left > 1:
-            tail, _ = _bellman_value(env, actions, _predict_reduced(merged, env.motion),
+            tail, _ = _bellman_value(env, actions, _predict_reduced(merged, env),
                                      action.target_position, steps_left - 1, discount)
             value += discount * tail
         if value < best_value - 1e-15:
@@ -216,7 +243,7 @@ class TreeNode:
     """One tree node: an action taken at a specific depth."""
 
     __slots__ = ("action", "parent", "children", "untried", "depth",
-                 "sensor_position", "pred", "detect_covs", "immediate_cost",
+                 "sensor_position", "pred", "detect", "immediate_cost",
                  "visits", "mean_reward")
 
     def __init__(self, action, parent, depth, sensor_position, pred,
@@ -227,9 +254,9 @@ class TreeNode:
         self.untried = list(untried)
         self.depth = depth
         self.sensor_position = sensor_position
-        # predicted (r, mean, cov) the children start from; None at the depth limit
+        # predicted (r, mean, bx, by) the children start from; None at the depth limit
         self.pred = pred
-        self.detect_covs = {}
+        self.detect = {}
         self.immediate_cost = immediate_cost
         self.visits = 0
         self.mean_reward = 0.0
@@ -315,10 +342,10 @@ def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
 def _expand(env, actions, node, tree_rng, depth_limit):
     idx = int(tree_rng.integers(len(node.untried)))
     action = node.untried.pop(idx)
-    cost, merged = evaluate_action(env, node.pred, action, node.detect_covs)
+    cost, merged = evaluate_action(env, node.pred, action, node.detect)
     depth = node.depth + 1
     if depth < depth_limit:
-        pred = _predict_reduced(merged, env.motion)
+        pred = _predict_reduced(merged, env)
         untried = actions(action.target_position)
     else:
         pred, untried = None, []
@@ -340,16 +367,16 @@ def _path_cost(node: TreeNode, discount: float) -> float:
 
 def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> float:
     """Discounted cost of a random action continuation (nodes not kept)."""
-    pred, detect_covs, position = node.pred, node.detect_covs, node.sensor_position
+    pred, detect, position = node.pred, node.detect, node.sensor_position
     total = 0.0
     for depth in range(node.depth, depth_limit):
         choices = actions(position)
         action = choices[int(tree_rng.integers(len(choices)))]
-        cost, merged = evaluate_action(env, pred, action, detect_covs)
+        cost, merged = evaluate_action(env, pred, action, detect)
         total += discount ** depth * cost
         position = action.target_position
         if depth + 1 < depth_limit:
-            pred, detect_covs = _predict_reduced(merged, env.motion), {}
+            pred, detect = _predict_reduced(merged, env), {}
     return total
 
 
@@ -359,8 +386,7 @@ def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> floa
 
 def nearest_sensor_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Move to the feasible action closest to the predicted positional mean."""
-    _, mean, _ = belief
-    mean = mean[list(POSITION_INDICES)]
+    mean = np.array(belief[1][::2])
     best, best_d = None, math.inf
     for action in env.actions_from(sensor_position):
         d = float(np.linalg.norm(action.target_position - mean))
@@ -374,26 +400,28 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
                           predicted_r: float, predicted: Gaussian) -> float:
     """Divergence between Bernoulli-Gaussian posterior and predicted densities.
 
-    The closed form weights the existence terms by the predicted
-    probability of existence; when either existence probability is
-    degenerate (0 or 1) only the Gaussian term remains.
+    The Gaussians are 2-D. The closed form weights the existence terms by
+    the predicted probability of existence; when either existence
+    probability is degenerate (0 or 1) only the Gaussian term remains.
     """
-    gauss = _gaussian_kl(posterior.mean, posterior.cov, predicted.mean, predicted.cov)
+    if posterior.dim != 2 or predicted.dim != 2:
+        raise ValueError("kl_bernoulli_gaussian takes two-dimensional Gaussians")
+    post, pred = (g.cov[[0, 0, 1], [0, 1, 1]].tolist() for g in (posterior, predicted))
+    gauss = _gaussian_kl(post, pred, (posterior.mean - predicted.mean).tolist())
     return _bernoulli_kl(posterior_r, predicted_r, gauss)
 
 
-def _gaussian_kl(post_mean, post_cov, pred_mean, pred_cov) -> float:
-    """KL(predicted || posterior) of two Gaussians."""
-    post_cov_inv = np.linalg.inv(post_cov)
-    dm = post_mean - pred_mean
-    sign_pred, logdet_pred = np.linalg.slogdet(pred_cov)
-    sign_post, logdet_post = np.linalg.slogdet(post_cov)
-    if sign_pred <= 0 or sign_post <= 0:
+def _gaussian_kl(post: tuple, pred: tuple, dm=(0.0, 0.0)) -> float:
+    """KL(predicted || posterior) of 2-D Gaussians: (p, c, v) covariances, mean gap dm."""
+    (p1, c1, v1), (p0, c0, v0) = post, pred
+    det1 = p1 * v1 - c1 * c1
+    det0 = p0 * v0 - c0 * c0
+    if det1 <= 0.0 or det0 <= 0.0:
         raise np.linalg.LinAlgError("singular covariance in KL computation")
-    return 0.5 * (float(np.trace(post_cov_inv @ pred_cov))
-                  - (logdet_pred - logdet_post)
-                  - len(dm)
-                  + float(dm @ post_cov_inv @ dm))
+    d0, d1 = dm
+    # trace of post^-1 (pred + dm dm^T): the trace and mean terms together
+    quad = v1 * (p0 + d0 * d0) - 2.0 * c1 * (c0 + d0 * d1) + p1 * (v0 + d1 * d1)
+    return 0.5 * (quad / det1 - 2.0 + math.log(det1 / det0))
 
 
 def _bernoulli_kl(posterior_r: float, predicted_r: float, gauss: float) -> float:
@@ -412,23 +440,21 @@ def kl_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Maximise the expected information gain over the two observation branches.
 
     Both branches keep the predicted mean, and the misdetection branch its
-    covariance, so the Gaussian terms depend on the noise class only: they
-    are computed once per class, not once per action.
+    covariance, so its Gaussian term is zero and the detection branch's, a
+    sum over the two axes, depends on the noise class only.
     """
-    r, mean, cov = belief
-    gauss_miss = _gaussian_kl(mean, cov, mean, cov)
+    r, _, bx, by = belief
+    actions = env.actions_from(sensor_position)
     gauss_detect = {}
     best, best_score = None, -math.inf
-    for action in env.actions_from(sensor_position):
+    for action, pd_bar in zip(actions, _plan_pd(env, belief, actions)):
         nc = action.noise_class
         if nc not in gauss_detect:
-            gauss_detect[nc] = _gaussian_kl(mean, _detect_cov(env, cov, nc), mean, cov)
-        pd_bar = expected_pd(mean, cov, action.target_position, env.fov_radius,
-                             env.p_detect)
+            dx, dy = pseudo_update(belief, noise_variance(nc, env.r_low, env.r_high))
+            gauss_detect[nc] = _gaussian_kl(dx, bx) + _gaussian_kl(dy, by)
         r_miss, p1 = branch_weights(r, pd_bar)
-        kl_detect = _bernoulli_kl(1.0, r, gauss_detect[nc])
-        kl_miss = _bernoulli_kl(r_miss, r, gauss_miss)
-        score = (1.0 - p1) * kl_miss + p1 * kl_detect
+        score = ((1.0 - p1) * _bernoulli_kl(r_miss, r, 0.0)
+                 + p1 * _bernoulli_kl(1.0, r, gauss_detect[nc]))
         if score > best_score + 1e-15:
             best_score = score
             best = action
@@ -443,7 +469,7 @@ def kl_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
 class Policy:
     """A named ``plan(belief, sensor_position, step_key) -> Action``.
 
-    ``belief`` is the predicted ``(r, mean, cov)`` tuple. ``plan`` is a
+    ``belief`` is the predicted ``(r, mean, bx, by)`` tuple. ``plan`` is a
     plain attribute so callers may wrap it.
     """
 

@@ -10,6 +10,7 @@ planners' ``gaussian_disc_pd`` is a deterministic rule along rays from
 the Gaussian mean.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +30,10 @@ class Bounds:
     ymin: float
     ymax: float
 
-    def contains(self, p) -> bool:
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
+    def contains(self, p):
+        """Whether a point, or each row of a ``(k, 2)`` array, lies in the box."""
+        x, y = np.asarray(p)[..., 0], np.asarray(p)[..., 1]
+        return (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
 
 
 @dataclass(frozen=True)
@@ -68,25 +71,6 @@ class Action:
                            np.asarray(self.target_position, dtype=float))
 
 
-def _point_in_convex_polygon(point, vertices: np.ndarray) -> bool:
-    """Strict interior test; boundary points count as outside."""
-    p = np.asarray(point, dtype=float)
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    sign = 0
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross == 0.0:
-            return False
-        s = 1 if cross > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ObstacleMap:
     """Convex polygonal no-go regions for the sensor."""
@@ -95,13 +79,28 @@ class ObstacleMap:
 
     def __post_init__(self):
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
-        for p in polys:
-            if len(p) < 3:
-                raise ValueError("polygons need at least 3 vertices")
+        if any(len(p) < 3 for p in polys):
+            raise ValueError("polygons need at least 3 vertices")
         object.__setattr__(self, "polygons", polys)
+        # each polygon's vertices a and edge vectors b - a, for the half-plane tests
+        object.__setattr__(self, "_edges", tuple((v, np.roll(v, -1, 0) - v) for v in polys))
 
-    def blocks(self, point) -> bool:
-        return any(_point_in_convex_polygon(point, poly) for poly in self.polygons)
+    def blocks(self, p):
+        """Whether a point, or each row of a (k, 2) array, is strictly inside a polygon."""
+        p = np.asarray(p, dtype=float)
+        x, y = p[..., 0, None], p[..., 1, None]
+        out = np.zeros(p.shape[:-1], dtype=bool)
+        for a, d in self._edges:
+            cross = d[:, 0] * (y - a[:, 1]) - d[:, 1] * (x - a[:, 0])
+            out |= np.all(cross > 0.0, axis=-1) | np.all(cross < 0.0, axis=-1)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_moves(n: int) -> np.ndarray:
+    """Unit vectors at angles 2 pi i / n, one scalar cos/sin call each."""
+    return np.array([[np.cos(a), np.sin(a)]
+                     for a in (2.0 * np.pi * i / n for i in range(n))])
 
 
 def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
@@ -114,15 +113,10 @@ def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
     sensor stays in place (zero-displacement fallback) so planners never
     face an empty action set. Actions come in ascending id order.
     """
-    n = sensor.num_actions
-    actions = []
-    for i in range(n):
-        angle = 2.0 * np.pi * i / n
-        target = sensor.position + sensor.step_size * np.array(
-            [np.cos(angle), np.sin(angle)])
-        if not bounds.contains(target) or obstacles.blocks(target):
-            continue
-        actions.append(Action(i, target, LOW_NOISE if i % 2 == 0 else HIGH_NOISE))
+    targets = sensor.position + sensor.step_size * _unit_moves(sensor.num_actions)
+    ok = bounds.contains(targets) & ~obstacles.blocks(targets)
+    actions = [Action(i, targets[i], LOW_NOISE if i % 2 == 0 else HIGH_NOISE)
+               for i in np.flatnonzero(ok).tolist()]
     if not actions:
         actions = [Action(0, sensor.position.copy(), LOW_NOISE)]
     return actions
@@ -176,27 +170,24 @@ _RAY_ANGLES = 2.0 * np.pi * (np.arange(1024) + 0.5) / 1024
 _RAY_COS, _RAY_SIN = np.cos(_RAY_ANGLES), np.sin(_RAY_ANGLES)
 
 
-def gaussian_disc_pd(mean: np.ndarray, cov: np.ndarray, centre: np.ndarray,
-                     fov_radius: float, p_detect: float) -> float:
-    """Deterministic expected detection probability of a Gaussian.
+def gaussian_disc_pd(mx: float, my: float, varx: float, vary: float,
+                     centres: np.ndarray, fov_radius: float,
+                     p_detect: float) -> np.ndarray:
+    """Deterministic expected detection probability of a Gaussian position.
 
-    p_detect times the mass of N(mean, cov), positional block, inside
-    the FOV disc of radius ``fov_radius`` around ``centre`` (DiDonato &
-    Jarnagin 1961). With the position whitened, x = m + L u, a ray
-    u = t (cos a, sin a) meets the disc on an interval [t1, t2] given by
-    a quadratic, over which the standard normal's radial mass is exactly
-    exp(-t1^2/2) - exp(-t2^2/2); the mass is the mean of that over 1024
-    evenly spaced angles. Its error is at most about p_detect / 1024,
-    reached when a thin Gaussian sits on the FOV edge.
+    One value per row of ``centres``, ``(k, 2)``: p_detect times the mass
+    of the uncorrelated N((mx, my), diag(varx, vary)) inside the FOV disc
+    around that centre (DiDonato & Jarnagin 1961). With the position
+    whitened, a ray u = t (cos a, sin a) meets the disc on an interval
+    [t1, t2] given by a quadratic, over which the standard normal's radial
+    mass is exactly exp(-t1^2/2) - exp(-t2^2/2); the mass is the mean of
+    that over 1024 evenly spaced angles. Its error is at most about
+    p_detect / 1024, reached when a thin Gaussian sits on the FOV edge.
     """
-    i, j = POSITION_INDICES if len(mean) > 2 else (0, 1)
-    l11 = math.sqrt(cov[i, i])
-    l21 = cov[i, j] / l11 if l11 > 0.0 else 0.0
-    l22 = math.sqrt(max(cov[j, j] - l21 * l21, 0.0))
-    dx = centre[0] - mean[i]
-    dy = centre[1] - mean[j]
-    ex = l11 * _RAY_COS
-    ey = l21 * _RAY_COS + l22 * _RAY_SIN
+    dx = centres[:, 0, None] - mx
+    dy = centres[:, 1, None] - my
+    ex = math.sqrt(varx) * _RAY_COS
+    ey = math.sqrt(vary) * _RAY_SIN
     # |t e - d|^2 <= R^2  <=>  a t^2 - 2 b t + c <= 0; flooring a makes a
     # degenerate direction, which maps onto the mean, hit all or nothing
     a = np.maximum(ex * ex + ey * ey, 1e-300)
@@ -205,13 +196,18 @@ def gaussian_disc_pd(mean: np.ndarray, cov: np.ndarray, centre: np.ndarray,
     root = np.sqrt(np.maximum(b * b - a * c, 0.0))
     t1 = np.maximum((b - root) / a, 0.0)
     t2 = np.maximum((b + root) / a, 0.0)
-    mass = np.exp(-0.5 * t1 * t1) * -np.expm1(-0.5 * (t2 - t1) * (t2 + t1))
-    return float(min(p_detect * max(mass.mean(), 0.0), p_detect))
+    # the mean over rays of the mass; a sum of negated terms is the negated sum
+    mass = -(np.exp(-0.5 * t1 * t1) * np.expm1(-0.5 * (t2 - t1) * (t2 + t1))).sum(axis=1)
+    return np.minimum(p_detect * np.maximum(mass / len(_RAY_COS), 0.0), p_detect)
+
+
+def noise_variance(noise_class: str, r_low: float, r_high: float) -> float:
+    """Per-axis measurement noise variance of a noise class."""
+    return r_low if noise_class == LOW_NOISE else r_high
 
 
 def noise_matrix(noise_class: str, r_low: float, r_high: float) -> np.ndarray:
-    value = r_low if noise_class == LOW_NOISE else r_high
-    return np.diag([value, value])
+    return np.eye(2) * noise_variance(noise_class, r_low, r_high)
 
 
 def generate_measurements(truth, sensor: SensorState, H: np.ndarray, R: np.ndarray,

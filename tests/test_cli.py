@@ -230,11 +230,18 @@ def test_removed_keys_are_rejected(tmp_path, capsys, block, key, value):
 
 
 def test_oracle_takes_no_config(tmp_path, capsys):
-    # the oracle runs built-in scenarios; a --config would be ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--config", str(tmp_path / "missing.json")])
-    assert exc.value.code == 2
+    # the oracle runs built-in scenarios; a --config is a rejected command
+    # line, which exits 1 like any invalid input
+    assert main(["oracle", "--config", str(tmp_path / "missing.json")]) == 1
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_rejected_command_line_exits_1_and_help_0(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path / "o")]) == 1
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(["run", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_oracle_small_horizon_passes(capsys):

@@ -10,24 +10,30 @@ H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 R10 = np.diag([10.0, 10.0])
 
 
-def _single(r=0.6, mean=None, cov=None):
-    """A planning belief ``(r, mean, cov)``."""
-    mean = np.array([1.0, 0.5, -2.0, 0.1]) if mean is None else mean
-    cov = np.diag([40.0, 9.0, 30.0, 9.0]) if cov is None else cov
-    return r, mean, cov
+def _single(r=0.6):
+    """A planning belief ``(r, mean, bx, by)``: x block (40, 3, 9), y block (30, -2, 9)."""
+    return r, (1.0, 0.5, -2.0, 0.1), (40.0, 3.0, 9.0), (30.0, -2.0, 9.0)
+
+
+def _cov(bx, by):
+    """The [px, vx, py, vy] covariance of two per-axis blocks."""
+    cov = np.zeros((4, 4))
+    for i, (p, c, v) in ((0, bx), (2, by)):
+        cov[i:i + 2, i:i + 2] = [[p, c], [c, v]]
+    return cov
 
 
 def test_pseudo_update_branches():
-    _, _, cov = _single()
+    pred = _single()
+    cov = _cov(pred[2], pred[3])
     # misdetection branch deflates existence and keeps the moments
     r_miss, p = branch_weights(0.6, 0.8)
     assert r_miss == pytest.approx(0.2 * 0.6 / (0.4 + 0.2 * 0.6))
     # detection branch is certain and applies the Kalman covariance update
     S = H2 @ cov @ H2.T + R10
     P1 = cov - cov @ H2.T @ np.linalg.inv(S) @ H2 @ cov
-    got = pseudo_update(cov, H2, R10)
+    got = _cov(*pseudo_update(pred, 10.0))
     assert got == pytest.approx(P1)
-    assert np.array_equal(got, got.T)
     assert p == pytest.approx(0.48)
 
 
@@ -77,21 +83,22 @@ def test_bound_is_continuous_at_threshold():
 
 def test_node_cost_mixes_branches():
     pred = _single(0.6)
-    P1 = pseudo_update(pred[2], H2, R10)
+    detect = pseudo_update(pred, 10.0)
     r_miss, _ = branch_weights(0.6, 0.8)
     c = 20.0
-    miss = msgospa_bound(r_miss, pred[2], c).cost
-    det = msgospa_bound(1.0, P1, c).cost
+    miss = msgospa_bound(r_miss, _cov(pred[2], pred[3]), c).cost
+    det = msgospa_bound(1.0, _cov(*detect), c).cost
     expected = (1.0 - 0.48) * miss + 0.48 * det
-    assert node_cost(pred, P1, 0.8, c) == pytest.approx(expected)
+    assert node_cost(pred, detect, 0.8, c) == pytest.approx(expected)
 
 
 def test_merge_linear():
     pred = _single(0.6)
-    P1 = pseudo_update(pred[2], H2, R10)
+    detect = pseudo_update(pred, 10.0)
     r_miss, w1 = branch_weights(0.6, 0.8)
-    r, mean, cov = merge_hypotheses(pred, P1, 0.8)
+    r, mean, bx, by = merge_hypotheses(pred, detect, 0.8)
     assert r == pytest.approx((1 - w1) * r_miss + w1 * 1.0)
     assert mean == pytest.approx(pred[1])
-    assert cov == pytest.approx((1 - w1) * pred[2] + w1 * P1)
+    assert _cov(bx, by) == pytest.approx(
+        (1 - w1) * _cov(pred[2], pred[3]) + w1 * _cov(*detect))
 

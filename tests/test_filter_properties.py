@@ -8,7 +8,9 @@ positive semi-definite, under zero clutter, a detection probability of
 checked exactly: the prediction r' = p_B (1 - r) + p_S r with its
 birth-plus-survivor mixture, and the no-measurement update
 r' = r (1 - p_D) / (1 - r p_D), which leaves the spatial density as it
-was.
+was. Planning relies on one more invariant, pinned here as well: a
+covariance without cross-axis terms (x and y uncoupled) keeps them
+exactly 0.0 through predict, update and reduce.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from gosman.bernoulli import (BernoulliDensity, Gaussian, LinearSensor,
                               ncv_motion_model, predict, reduce, update)
 from gosman.config import OBSERVATION_MATRIX
+from gosman.planners import planning_belief
 
 SETTINGS = settings(max_examples=80, deadline=None)
 SCALES = (1e-6, 1.0, 1e8)
@@ -35,11 +38,22 @@ def gaussians(draw, scale):
 
 
 @st.composite
-def densities(draw, max_components=4):
+def axis_gaussians(draw, scale):
+    """A [px, vx, py, vy] Gaussian whose covariance does not couple the axes."""
+    cov = np.zeros((4, 4))
+    for i in (0, 2):
+        a = draw(arrays(float, (2, 2), elements=st.floats(-1.0, 1.0)))
+        cov[i:i + 2, i:i + 2] = scale * (a @ a.T + 1e-3 * np.eye(2))
+    mean = draw(arrays(float, 4, elements=st.floats(-100.0, 100.0)))
+    return Gaussian(mean, cov)
+
+
+@st.composite
+def densities(draw, max_components=4, per_axis=False):
     """A mixture density whose covariances share one of the extreme scales."""
     scale = draw(st.sampled_from(SCALES))
     n = draw(st.integers(1, max_components))
-    comps = [draw(gaussians(scale)) for _ in range(n)]
+    comps = [draw((axis_gaussians if per_axis else gaussians)(scale)) for _ in range(n)]
     weights = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
     return BernoulliDensity(draw(probabilities), weights, comps)
 
@@ -177,6 +191,36 @@ def test_predict_drops_survivors_whose_weight_underflows():
     pred = predict(prior, motion)
     assert len(pred.components) == 1 and pred.components[0] is motion.birth
     assert pred.r == 0.1
+
+
+def _assert_per_axis(density):
+    for g in density.components:
+        assert not np.any(g.cov[:2, 2:]) and not np.any(g.cov[2:, :2])
+
+
+@SETTINGS
+@given(st.data(), densities(per_axis=True), probabilities, probabilities,
+       probabilities, clutter, st.sampled_from([10.0, 50.0]))
+def test_cross_axis_terms_stay_zero(data, prior, p_survival, p_birth, pd_bar,
+                                    clutter_intensity, noise):
+    pred = predict(prior, _motion(p_survival, p_birth))
+    _assert_per_axis(pred)
+    if pred.components:
+        planning_belief(reduce(pred, max_components=1))
+    Z = data.draw(measurement_sets(pred, clutter_intensity)) if pred.components else []
+    sensor = LinearSensor(OBSERVATION_MATRIX, noise * np.eye(2))
+    post = update(pred, Z, sensor, pd_bar, clutter_intensity)
+    _assert_per_axis(post)
+    _assert_per_axis(reduce(post, data.draw(st.integers(1, 5)),
+                            data.draw(st.sampled_from([0.0, 1e-4, 0.2]))))
+
+
+def test_planning_belief_rejects_cross_axis_terms():
+    cov = np.diag([4.0, 1.0, 4.0, 1.0])
+    cov[1, 2] = cov[2, 1] = 1e-300
+    density = BernoulliDensity(0.5, np.array([1.0]), (Gaussian(np.zeros(4), cov),))
+    with pytest.raises(ValueError, match="cross-axis"):
+        planning_belief(density)
 
 
 @example(1.0 + 5e-13)

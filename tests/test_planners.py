@@ -5,8 +5,8 @@ import pytest
 
 from gosman import planners
 from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
-from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, backpropagate,
-                             evaluate_action, exhaustive_bellman,
+from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, axis_belief,
+                             backpropagate, evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
                              mcts_search, myopic_plan, nearest_sensor_plan,
                              planning_belief, uct_select)
@@ -26,22 +26,25 @@ def _env(num_actions=4):
 
 
 def _belief(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
-    return r, np.array(mean), np.diag([80.0, 16.0, 80.0, 16.0])
+    return axis_belief(r, mean, np.diag([80.0, 16.0, 80.0, 16.0]))
 
 
 def test_evaluate_action_cost_matches_components():
     env = _env()
     pred = _belief()
     action = env.actions_from(np.array([30.0, 30.0]))[0]
-    detect_covs = {}
-    cost, (r, mean, cov) = evaluate_action(env, pred, action, detect_covs)
+    detect = {}
+    cost, merged = evaluate_action(env, pred, action, detect)
+    r, mean, bx, by = merged
     assert cost >= 0.0
-    assert 0.0 <= r <= 1.0 and mean.shape == (4,) and cov.shape == (4, 4)
-    assert list(detect_covs) == [action.noise_class]
-    # a pure function of belief and action, with or without the memo
-    again, merged_again = evaluate_action(env, pred, action, {})
-    assert again == cost and merged_again[0] == r
-    assert np.array_equal(merged_again[2], cov)
+    assert 0.0 <= r <= 1.0 and len(mean) == 4 and len(bx) == len(by) == 3
+    assert list(detect) == [action.noise_class]
+    # a pure function of belief and action, with or without the memo, and
+    # with the detection probability batched or not
+    pd_bar = planners._plan_pd(env, pred, [action])[0]
+    for again in (evaluate_action(env, pred, action, {}),
+                  evaluate_action(env, pred, action, {}, pd_bar)):
+        assert again == (cost, merged)
 
 
 def test_planning_belief_requires_single_component():
@@ -49,8 +52,9 @@ def test_planning_belief_requires_single_component():
     mixture = BernoulliDensity(0.5, np.array([0.5, 0.5]), (g, g))
     with pytest.raises(ValueError):
         planning_belief(mixture)
-    r, mean, cov = planning_belief(BernoulliDensity(0.5, np.array([1.0]), (g,)))
-    assert r == 0.5 and mean is g.mean and cov is g.cov
+    r, mean, bx, by = planning_belief(BernoulliDensity(0.5, np.array([1.0]), (g,)))
+    assert r == 0.5 and mean == (0.0, 0.0, 0.0, 0.0)
+    assert bx == by == (1.0, 0.0, 1.0)
 
 
 def test_exhaustive_bellman_prefers_covering_action():
@@ -233,22 +237,26 @@ def test_nearest_sensor_moves_towards_mean():
 
 
 def test_kl_zero_for_identical():
-    g = Gaussian(np.zeros(4), np.diag([4.0, 1.0, 4.0, 1.0]))
+    g = Gaussian(np.zeros(2), np.array([[4.0, 1.0], [1.0, 2.0]]))
     assert kl_bernoulli_gaussian(0.6, g, 0.6, g) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        kl_bernoulli_gaussian(0.6, Gaussian(np.zeros(4), np.eye(4)), 0.6, g)
 
 
 def test_kl_positive_and_grows_with_separation():
-    g0 = Gaussian(np.zeros(4), np.diag([4.0, 1.0, 4.0, 1.0]))
-    g1 = Gaussian(np.array([1.0, 0.0, 0.0, 0.0]), np.diag([4.0, 1.0, 4.0, 1.0]))
-    g2 = Gaussian(np.array([3.0, 0.0, 0.0, 0.0]), np.diag([4.0, 1.0, 4.0, 1.0]))
+    g0 = Gaussian(np.zeros(2), np.diag([4.0, 1.0]))
+    g1 = Gaussian(np.array([1.0, 0.0]), np.diag([4.0, 1.0]))
+    g2 = Gaussian(np.array([3.0, 0.0]), np.diag([4.0, 1.0]))
     k1 = kl_bernoulli_gaussian(0.5, g1, 0.5, g0)
     k2 = kl_bernoulli_gaussian(0.5, g2, 0.5, g0)
     assert 0.0 < k1 < k2
+    # a shift d along an axis of variance s2 adds d^2 / (2 s2), weighted by r
+    assert k1 - kl_bernoulli_gaussian(0.5, g0, 0.5, g0) == pytest.approx(0.5 * 0.5 / 4.0)
 
 
 def test_kl_degenerate_branch():
-    g0 = Gaussian(np.zeros(4), np.diag([4.0, 1.0, 4.0, 1.0]))
-    g1 = Gaussian(np.ones(4), np.diag([2.0, 1.0, 2.0, 1.0]))
+    g0 = Gaussian(np.zeros(2), np.diag([4.0, 1.0]))
+    g1 = Gaussian(np.ones(2), np.diag([2.0, 1.0]))
     got = kl_bernoulli_gaussian(1.0, g1, 1.0, g0)
     # only the Gaussian term survives when existence is certain
     full = kl_bernoulli_gaussian(1.0 - 1e-6, g1, 1.0 - 1e-6, g0)

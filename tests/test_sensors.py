@@ -20,7 +20,10 @@ def _sensor(position=(0.0, 0.0), fov=10.0, step=5.0, n=4, pd=0.9):
 
 
 def _disc_pd(g, s):
-    return gaussian_disc_pd(g.mean, g.cov, s.position, s.fov_radius, s.p_detect)
+    """Planning PD of a 2-D Gaussian with a diagonal covariance, one centre."""
+    (pd,) = gaussian_disc_pd(g.mean[0], g.mean[1], g.cov[0, 0], g.cov[1, 1],
+                             s.position[None], s.fov_radius, s.p_detect)
+    return pd
 
 
 def test_bounds_contains():
@@ -69,6 +72,62 @@ def test_enumerate_actions_respects_bounds_and_obstacles():
     actions = enumerate_actions(sensor, ObstacleMap((wall,)), bounds)
     # east blocked by the wall, west out of bounds
     assert [a.id for a in actions] == [1, 3]
+
+
+def _reference_actions(sensor, polygons, bounds):
+    """One target at a time, as a scalar loop: ids of the feasible moves."""
+    def inside(p, v):
+        sign = 0
+        for i in range(len(v)):
+            a, b = v[i], v[(i + 1) % len(v)]
+            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            if cross == 0.0:
+                return False
+            s = 1 if cross > 0 else -1
+            if sign not in (0, s):
+                return False
+            sign = s
+        return True
+
+    ids = []
+    for i in range(sensor.num_actions):
+        angle = 2.0 * np.pi * i / sensor.num_actions
+        t = sensor.position + sensor.step_size * np.array([np.cos(angle), np.sin(angle)])
+        in_box = bounds.xmin <= t[0] <= bounds.xmax and bounds.ymin <= t[1] <= bounds.ymax
+        if in_box and not any(inside(t, np.asarray(v, float)) for v in polygons):
+            ids.append((i, tuple(t)))
+    return ids
+
+
+def test_enumerate_actions_matches_scalar_reference():
+    bounds = Bounds(0.0, 100.0, 0.0, 100.0)
+    square = [[40.0, 40.0], [60.0, 40.0], [60.0, 60.0], [40.0, 60.0]]
+    triangle = [[70.0, 10.0], [90.0, 15.0], [75.0, 30.0]]
+    polygons = (square, triangle)
+    obstacles = ObstacleMap(polygons)
+
+    def check(position, n=4, step=5.0):
+        sensor = _sensor(position=position, n=n, step=step)
+        got = [(a.id, tuple(a.target_position))
+               for a in enumerate_actions(sensor, obstacles, bounds)]
+        want = _reference_actions(sensor, polygons, bounds) or \
+            [(0, tuple(sensor.position))]
+        assert got == want
+        return [i for i, _ in got]
+
+    # a target exactly on an edge or a vertex is outside the polygon
+    assert 0 in check((35.0, 50.0)) and 0 in check((35.0, 40.0))
+    assert 2 in check((65.0, 60.0))
+    # targets inside are blocked, those on the edges not
+    assert check((45.0, 55.0)) == [1, 2]
+    # a target exactly on the bounds is inside them
+    assert check((95.0, 50.0)) == [0, 1, 2, 3]
+    assert check((50.0, 95.0)) == [0, 1, 2, 3]
+    assert check((5.0, 5.0), step=5.0) == [0, 1, 2, 3]
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        check(rng.uniform(-5.0, 105.0, size=2), n=int(rng.integers(1, 9)),
+              step=float(rng.choice([5.0, 25.0])))
 
 
 def test_enumerate_actions_fallback_stay():
@@ -132,15 +191,17 @@ def test_gaussian_disc_pd_matches_noncentral_chi2():
 
 
 def test_gaussian_disc_pd_matches_monte_carlo():
+    # planning beliefs never correlate the axes, so the covariances are
+    # diagonal, with standard deviations up to 10:1 either way
     rng = np.random.default_rng(7)
     R = 10.0
     s = _sensor(position=(5.0, 5.0), fov=R, pd=0.9)
     draws = 2_000_000
-    for rho in (-0.99, -0.5, 0.0, 0.5, 0.99):
-        for ratio in (1.0, 10.0):
+    for _ in range(3):
+        for ratio in (1.0, 10.0, 0.1):
             s1 = R * rng.uniform(0.2, 2.0)
             s2 = s1 / ratio
-            cov = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+            cov = np.diag([s1 * s1, s2 * s2])
             angle = rng.uniform(0.0, 2.0 * np.pi)
             mean = s.position + rng.uniform(0.0, 2.0 * R) * np.array(
                 [np.cos(angle), np.sin(angle)])
@@ -153,7 +214,7 @@ def test_gaussian_disc_pd_matches_monte_carlo():
 def test_gaussian_disc_pd_range_and_purity():
     assert "rng" not in inspect.signature(gaussian_disc_pd).parameters
     covs = [np.diag([1e-12, 1e-12]), np.diag([1e8, 1e8]), np.diag([1e-6, 1e6]),
-            np.diag([0.0, 4.0]), np.array([[4.0, 4.0], [4.0, 4.0]])]
+            np.diag([0.0, 4.0]), np.diag([4.0, 0.0])]
     means = [np.zeros(2), np.array([10.0, 0.0]), np.array([7.0, -7.0]),
              np.array([1e4, 0.0])]
     for pd in (0.0, 0.4, 1.0):
@@ -168,10 +229,25 @@ def test_gaussian_disc_pd_range_and_purity():
     assert _disc_pd(Gaussian(np.zeros(2), np.diag([1e-8, 1e-8])), s) == \
         pytest.approx(0.9, abs=1e-12)
     assert _disc_pd(Gaussian(np.array([1e4, 0.0]), np.eye(2)), s) == 0.0
-    # four-dimensional states use the position block
-    g4 = Gaussian(np.array([3.0, 50.0, 4.0, -50.0]), np.diag([4.0, 1e6, 9.0, 1e6]))
-    g2 = Gaussian(np.array([3.0, 4.0]), np.diag([4.0, 9.0]))
-    assert _disc_pd(g4, s) == _disc_pd(g2, s)
+
+
+def test_gaussian_disc_pd_batch_matches_single_centre():
+    # one call over k centres gives, bit for bit, the k one-centre values,
+    # also for a Gaussian sitting on the FOV edge
+    rng = np.random.default_rng(9)
+    R = 10.0
+    for _ in range(200):
+        mx, my = rng.uniform(-30.0, 30.0, size=2)
+        varx, vary = (R * rng.choice([1e-3, 0.1, 1.0, 10.0], size=2)) ** 2
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        dist = np.where(rng.random(6) < 0.5, R, rng.uniform(0.0, 3.0 * R, size=6))
+        centres = np.array([mx, my]) + dist[:, None] * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=1)
+        batch = gaussian_disc_pd(mx, my, varx, vary, centres, R, 0.9)
+        single = [gaussian_disc_pd(mx, my, varx, vary, c[None], R, 0.9)[0]
+                  for c in centres]
+        assert batch.shape == (6,)
+        assert batch.tolist() == single
 
 
 def test_noise_matrix_classes():

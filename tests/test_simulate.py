@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,9 +104,10 @@ def test_run_episode_plans_through_policy_attribute(monkeypatch):
     m = run_episode(cfg, cfg.policy, run=1)
     assert len(m.steps) == cfg.duration
     assert [k for k, _ in calls] == [(cfg.seed, 1, t) for t in range(cfg.duration)]
-    # the loop hands planners the (r, mean, cov) arrays of one Gaussian
-    for _, (r, mean, cov) in calls:
-        assert 0.0 < r <= 1.0 and mean.shape == (4,) and cov.shape == (4, 4)
+    # the loop hands planners the (r, mean, bx, by) floats of one Gaussian
+    for _, (r, mean, bx, by) in calls:
+        assert 0.0 < r <= 1.0 and len(mean) == 4 and len(bx) == len(by) == 3
+        assert all(type(v) is float for v in (r, *mean, *bx, *by))
 
 
 def test_sensor_moves_at_most_one_step():
@@ -186,3 +191,33 @@ def test_run_episode_failure_is_chained(monkeypatch):
                                            r"ValueError: boom$") as info:
         run_episode(cfg, cfg.policy, run=0)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+_DECIDE_ONCE = """
+import sys
+import numpy as np
+from gosman.bernoulli import BernoulliDensity
+from gosman.config import load_config
+from gosman.planners import make_policy, planning_belief
+
+cfg = load_config(sys.argv[1])
+env = cfg.planning_env()
+belief = planning_belief(BernoulliDensity(0.6, np.array([1.0]), (env.motion.birth,)))
+position = np.asarray(cfg.initial_position)
+for spec in cfg.policies:
+    make_policy({"name": spec.name, **spec.params}, env).plan(belief, position, (0, 0, 0))
+print(sorted({cfg.policy.name} | {p.name for p in cfg.policies}))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_decisions_do_not_import_scipy():
+    # the benchmark's setup_s and peak_rss_mb count every module a run
+    # imports; scipy serves only the GOSPA assignment of sets larger than one
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _DECIDE_ONCE, str(root / "configs" / "obstacle.json")],
+        env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["['gd', 'kl', 'mcts', 'ns']", "[]"]
