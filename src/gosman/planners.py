@@ -23,9 +23,9 @@ The closed loop hands every planner the predicted belief as a plain
 ``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and
 the inner loop is float arithmetic on such tuples. Within one decision
 the actions from a sensor position are enumerated once, the greedy
-policies get all their detection probabilities from one call, and the
-detection-branch blocks of a belief are computed once per noise class.
-Nothing is cached across decisions.
+policies get all their detection probabilities from one call, and ``kl``
+computes its Gaussian divergence once per noise class. Nothing is cached
+across decisions.
 """
 
 import math
@@ -147,18 +147,14 @@ def _plan_pd(env: PlanningEnv, pred: tuple, actions: list) -> list:
 
 
 def evaluate_action(env: PlanningEnv, pred: tuple, action: Action,
-                    detect: dict, pd_bar: Optional[float] = None) -> Tuple[float, tuple]:
+                    pd_bar: Optional[float] = None) -> Tuple[float, tuple]:
     """Cost and merged posterior of taking one action from a predicted belief.
 
-    ``detect`` holds the detection-branch blocks of ``pred`` by noise class,
-    filled on demand; ``pd_bar`` is computed if the caller has not batched it.
+    ``pd_bar`` is computed if the caller has not batched it.
     """
     if pd_bar is None:
         pd_bar = _plan_pd(env, pred, [action])[0]
-    nc = action.noise_class
-    blocks = detect.get(nc)
-    if blocks is None:
-        blocks = detect[nc] = pseudo_update(pred, noise_variance(nc, env.r_low, env.r_high))
+    blocks = pseudo_update(pred, noise_variance(action.noise_class, env.r_low, env.r_high))
     return (node_cost(pred, blocks, pd_bar, env.c),
             merge_hypotheses(pred, blocks, pd_bar))
 
@@ -215,10 +211,9 @@ def exhaustive_bellman(belief: tuple, sensor_position, env: PlanningEnv,
 def _bellman_value(env, actions, pred, position, steps_left, discount):
     """Least discounted cost of ``steps_left >= 1`` actions from a predicted belief."""
     best_value, best_action = math.inf, None
-    detect = {}
     choices = actions(position)
     for action, pd_bar in zip(choices, _plan_pd(env, pred, choices)):
-        value, merged = evaluate_action(env, pred, action, detect, pd_bar)
+        value, merged = evaluate_action(env, pred, action, pd_bar)
         if steps_left > 1:
             tail, _ = _bellman_value(env, actions, _predict_reduced(merged, env),
                                      action.target_position, steps_left - 1, discount)
@@ -243,7 +238,7 @@ class TreeNode:
     """One tree node: an action taken at a specific depth."""
 
     __slots__ = ("action", "parent", "children", "untried", "depth",
-                 "sensor_position", "pred", "detect", "immediate_cost",
+                 "sensor_position", "pred", "immediate_cost",
                  "visits", "mean_reward")
 
     def __init__(self, action, parent, depth, sensor_position, pred,
@@ -256,7 +251,6 @@ class TreeNode:
         self.sensor_position = sensor_position
         # predicted (r, mean, bx, by) the children start from; None at the depth limit
         self.pred = pred
-        self.detect = {}
         self.immediate_cost = immediate_cost
         self.visits = 0
         self.mean_reward = 0.0
@@ -342,7 +336,7 @@ def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
 def _expand(env, actions, node, tree_rng, depth_limit):
     idx = int(tree_rng.integers(len(node.untried)))
     action = node.untried.pop(idx)
-    cost, merged = evaluate_action(env, node.pred, action, node.detect)
+    cost, merged = evaluate_action(env, node.pred, action)
     depth = node.depth + 1
     if depth < depth_limit:
         pred = _predict_reduced(merged, env)
@@ -367,16 +361,16 @@ def _path_cost(node: TreeNode, discount: float) -> float:
 
 def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> float:
     """Discounted cost of a random action continuation (nodes not kept)."""
-    pred, detect, position = node.pred, node.detect, node.sensor_position
+    pred, position = node.pred, node.sensor_position
     total = 0.0
     for depth in range(node.depth, depth_limit):
         choices = actions(position)
         action = choices[int(tree_rng.integers(len(choices)))]
-        cost, merged = evaluate_action(env, pred, action, detect)
+        cost, merged = evaluate_action(env, pred, action)
         total += discount ** depth * cost
         position = action.target_position
         if depth + 1 < depth_limit:
-            pred, detect = _predict_reduced(merged, env), {}
+            pred = _predict_reduced(merged, env)
     return total
 
 

@@ -5,12 +5,13 @@ import pytest
 
 from gosman import planners
 from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
+from gosman.costs import merge_hypotheses, node_cost, pseudo_update
 from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, axis_belief,
                              backpropagate, evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
                              mcts_search, myopic_plan, nearest_sensor_plan,
                              planning_belief, uct_select)
-from gosman.sensors import Bounds, ObstacleMap
+from gosman.sensors import Bounds, ObstacleMap, noise_variance
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
@@ -33,17 +34,19 @@ def test_evaluate_action_cost_matches_components():
     env = _env()
     pred = _belief()
     action = env.actions_from(np.array([30.0, 30.0]))[0]
-    detect = {}
-    cost, merged = evaluate_action(env, pred, action, detect)
+    cost, merged = evaluate_action(env, pred, action)
     r, mean, bx, by = merged
     assert cost >= 0.0
     assert 0.0 <= r <= 1.0 and len(mean) == 4 and len(bx) == len(by) == 3
-    assert list(detect) == [action.noise_class]
-    # a pure function of belief and action, with or without the memo, and
-    # with the detection probability batched or not
+    # the cost and merge of the action's own detection branch
     pd_bar = planners._plan_pd(env, pred, [action])[0]
-    for again in (evaluate_action(env, pred, action, {}),
-                  evaluate_action(env, pred, action, {}, pd_bar)):
+    blocks = pseudo_update(pred, noise_variance(action.noise_class, env.r_low, env.r_high))
+    assert cost == node_cost(pred, blocks, pd_bar, env.c)
+    assert merged == merge_hypotheses(pred, blocks, pd_bar)
+    # a pure function of belief and action, with the detection probability
+    # batched or not
+    for again in (evaluate_action(env, pred, action),
+                  evaluate_action(env, pred, action, pd_bar)):
         assert again == (cost, merged)
 
 
