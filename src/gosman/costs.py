@@ -88,14 +88,15 @@ def node_cost(pred: tuple, detect: tuple, pd_bar: float, c: float) -> float:
 def merge_hypotheses(pred: tuple, detect: tuple, pd_bar: float) -> tuple:
     """Moment-match the two branches into one ``(r, mean, bx, by)`` belief.
 
-    Everything combines element by element with the detection-event
-    weights; the mean-spread term is zero as both branches share the mean.
+    Both branches share the predicted mean, so the merge keeps it as it is
+    and the mean-spread term is zero; existence and covariance combine
+    element by element with the detection-event weights. (Weighting the
+    shared mean as well would round it, and flush a subnormal to zero.)
     """
-    r, (px, vx, py, vy), (p, c, v), (P, C, V) = pred
+    r, mean, (p, c, v), (P, C, V) = pred
     (p1, c1, v1), (P1, C1, V1) = detect
     r_miss, w1 = branch_weights(r, pd_bar)
     w0 = 1.0 - w1
-    return (min(w0 * r_miss + w1, 1.0),
-            (w0 * px + w1 * px, w0 * vx + w1 * vx, w0 * py + w1 * py, w0 * vy + w1 * vy),
+    return (min(w0 * r_miss + w1, 1.0), tuple(mean),
             (w0 * p + w1 * p1, w0 * c + w1 * c1, w0 * v + w1 * v1),
             (w0 * P + w1 * P1, w0 * C + w1 * C1, w0 * V + w1 * V1))

@@ -137,7 +137,7 @@ def test_kernel_matches_4x4_reference(bel, pd_bar, noise, c):
 
     r_m, mean_m, bx_m, by_m = merge_hypotheses(bel, detect, pd_bar)
     assert r_m == min((1.0 - p) * r_miss + p, 1.0)
-    assert np.array_equal(mean_m, (1.0 - p) * np.array(mean) + p * np.array(mean))
+    assert mean_m == tuple(mean)
     assert np.array_equal(_cov(bx_m, by_m), (1.0 - p) * cov + p * P1)
 
     gauss = _gaussian_kl(detect[0], bx) + _gaussian_kl(detect[1], by)
