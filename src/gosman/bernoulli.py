@@ -5,10 +5,15 @@ Gaussian-mixture single-target density. Prediction accounts for birth
 and survival; the update handles clutter and misdetection with a
 constant (expected) probability of detection. Densities are immutable
 values so they can be shared freely between Monte Carlo workers.
+
+No covariance couples x and y, so a component is an ``AxisGaussian``
+and prediction and update are scalar arithmetic on each axis's block,
+in two kernels that the planners share (``predict_axes``,
+``kalman_block``).
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,9 +47,46 @@ class Gaussian:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", make_psd(self.cov))
 
+
+class AxisGaussian(NamedTuple):
+    """A [px, vx, py, vy] Gaussian whose covariance does not couple the axes.
+
+    ``bx`` and ``by`` are the ``(p, c, v)`` entries of the x- and y-axis
+    [position, velocity] covariance blocks; ``cov`` builds the 4 x 4 matrix.
+    """
+
+    mean: np.ndarray
+    bx: tuple
+    by: tuple
+
     @property
-    def dim(self) -> int:
-        return len(self.mean)
+    def cov(self) -> np.ndarray:
+        (p, c, v), (P, C, V) = self.bx, self.by
+        return np.array([[p, c, 0.0, 0.0], [c, v, 0.0, 0.0],
+                         [0.0, 0.0, P, C], [0.0, 0.0, C, V]])
+
+
+def predict_axes(mean, bx: tuple, by: tuple, tau: float, q: tuple) -> tuple:
+    """``(mean, bx, by)`` after x' = F x, P' = F P F^T + Q on each axis.
+
+    Per axis F = [[1, tau], [0, 1]] and Q is the ``(p, c, v)`` block ``q``.
+    """
+    px, vx, py, vy = mean
+    (p, c, v), (P, C, V) = bx, by
+    return ((px + tau * vx, vx, py + tau * vy, vy),
+            ((p + tau * c) + (c + tau * v) * tau + q[0], c + tau * v + q[1], v + q[2]),
+            ((P + tau * C) + (C + tau * V) * tau + q[0], C + tau * V + q[1], V + q[2]))
+
+
+def kalman_block(block: tuple, noise: float) -> tuple:
+    """Gains and posterior block of one axis, measured in position with ``noise``.
+
+    The posterior's off-diagonal entry is the mean of the two of P - K H P.
+    """
+    p, c, v = block
+    i = 1.0 / (p + noise)
+    kp, kc = p * i, c * i
+    return (kp, kc), (p - kp * p, 0.5 * ((c - kp * c) + (c - kc * p)), v - kc * c)
 
 
 @dataclass(frozen=True)
@@ -77,7 +119,7 @@ class BernoulliDensity:
             raise ValueError("empty mixture requires r == 0")
 
     @property
-    def top_component(self) -> Gaussian:
+    def top_component(self) -> AxisGaussian:
         return self.components[int(np.argmax(self.weights))]
 
 
@@ -87,43 +129,38 @@ def empty_density() -> BernoulliDensity:
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Linear-Gaussian target dynamics with birth and survival."""
+    """Nearly-constant-velocity motion with birth; ``q`` is the per-axis block of Q."""
 
-    F: np.ndarray
-    Q: np.ndarray
+    tau: float
+    q: tuple
     p_survival: float
     p_birth: float
-    birth: Gaussian
+    birth: AxisGaussian
 
     def __post_init__(self):
-        object.__setattr__(self, "F", np.asarray(self.F, dtype=float))
-        object.__setattr__(self, "Q", make_psd(self.Q))
         for name, p in (("p_survival", self.p_survival), ("p_birth", self.p_birth)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {p}")
+        # raise on an indefinite process noise or birth covariance
+        make_psd(self.Q)
+        make_psd(self.birth.cov)
+
+    @property
+    def F(self) -> np.ndarray:
+        return np.kron(np.eye(2), [[1.0, self.tau], [0.0, 1.0]])
+
+    @property
+    def Q(self) -> np.ndarray:
+        return AxisGaussian(np.zeros(4), self.q, self.q).cov   # of the process noise
 
 
 def ncv_motion_model(tau: float, q: float, p_survival: float, p_birth: float,
-                     birth_mean, birth_cov) -> MotionModel:
-    """Nearly-constant-velocity model on [px, vx, py, vy]."""
-    f1 = np.array([[1.0, tau], [0.0, 1.0]])
-    q1 = q * np.array([[tau ** 3 / 3.0, tau ** 2 / 2.0],
-                       [tau ** 2 / 2.0, tau]])
-    F = np.kron(np.eye(2), f1)
-    Q = np.kron(np.eye(2), q1)
-    return MotionModel(F, Q, p_survival, p_birth, Gaussian(birth_mean, birth_cov))
-
-
-@dataclass(frozen=True)
-class LinearSensor:
-    """Linear-Gaussian measurement model z = H x + noise(R)."""
-
-    H: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
+                     birth_mean, birth_var) -> MotionModel:
+    """Nearly-constant-velocity model; targets are born N(birth_mean, diag(birth_var))."""
+    px, vx, py, vy = birth_var   # the variances
+    birth = AxisGaussian(np.asarray(birth_mean, dtype=float), (px, 0.0, vx), (py, 0.0, vy))
+    return MotionModel(float(tau), (q * (tau ** 3 / 3.0), q * (tau ** 2 / 2.0), q * tau),
+                       p_survival, p_birth, birth)
 
 
 def predict(prior: BernoulliDensity, model: MotionModel) -> BernoulliDensity:
@@ -147,8 +184,8 @@ def predict(prior: BernoulliDensity, model: MotionModel) -> BernoulliDensity:
         w_pred = r_surv * w / r_pred
         if w_pred > 0.0:   # zero when r_surv is nil or so tiny it underflows
             weights.append(w_pred)
-            comps.append(Gaussian(model.F @ g.mean,
-                                  model.F @ g.cov @ model.F.T + model.Q))
+            mean, bx, by = predict_axes(g.mean.tolist(), g.bx, g.by, model.tau, model.q)
+            comps.append(AxisGaussian(np.array(mean), bx, by))
     if not comps:
         return empty_density()
     return BernoulliDensity(min(r_pred, 1.0), np.array(weights), comps)
@@ -163,14 +200,15 @@ def _gaussian_pdf(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     return float(np.exp(-0.5 * (y @ y) - 0.5 * (logdet + k * np.log(2.0 * np.pi))))
 
 
-def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor,
+def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], noise: float,
            pd_bar: float, clutter_intensity: float) -> BernoulliDensity:
     """Bernoulli update with misdetection, clutter and detection hypotheses.
 
-    ``clutter_intensity`` is the spatially uniform clutter density
-    lambda_c(z) (expected clutter per unit area). With zero clutter the
-    model admits at most one measurement, and a detection of it makes
-    r = 1; otherwise r' = r (1 - delta) / (1 - r delta).
+    Each measurement is a target position with noise variance ``noise``
+    per axis. ``clutter_intensity`` is the spatially uniform clutter
+    density lambda_c(z) (expected clutter per unit area). With zero
+    clutter the model admits at most one measurement, and a detection of
+    it makes r = 1; otherwise r' = r (1 - delta) / (1 - r delta).
     """
     if not 0.0 <= pd_bar <= 1.0:
         raise ValueError(f"pd_bar out of [0, 1]: {pd_bar}")
@@ -180,13 +218,11 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor
     if pred.r == 0.0 or len(pred.components) == 0:
         return pred
 
-    H, R = sensor.H, sensor.R
-    # S, a block of a symmetric covariance plus R, is symmetric positive definite
-    zhats = [H @ g.mean for g in pred.components]
-    Ss = [H @ g.cov @ H.T + R for g in pred.components]
+    zhats = [g.mean[list(POSITION_INDICES)] for g in pred.components]
+    # the innovation covariance S is diagonal, and positive definite
+    Ss = [np.diag([g.bx[0] + noise, g.by[0] + noise]) for g in pred.components]
     miss = [(w * (1.0 - pd_bar), g) for w, g in zip(pred.weights, pred.components)]
     detect = []
-    posts = {}   # component index -> Kalman gain and covariance, on first detection
     like_total = 0.0
     for z in Z:
         like = [w * _gaussian_pdf(z, zh, S) for w, zh, S in zip(pred.weights, zhats, Ss)]
@@ -195,13 +231,14 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], sensor: LinearSensor
             if pd_bar == 0.0 or w_l <= 0.0:
                 continue
             g = pred.components[i]
-            if i not in posts:
-                K = g.cov @ H.T @ np.linalg.inv(Ss[i])
-                posts[i] = K, g.cov - K @ H @ g.cov
-            K, cov = posts[i]
+            (kx, kvx), bx = kalman_block(g.bx, noise)
+            (ky, kvy), by = kalman_block(g.by, noise)
+            dx, dy = (z - zhats[i]).tolist()
+            px, vx, py, vy = g.mean.tolist()
+            mean = np.array([px + kx * dx, vx + kvx * dx, py + ky * dy, vy + kvy * dy])
             # likelihood ratio against clutter; without clutter normalised below
             detect.append((pd_bar * w_l / (clutter_intensity or 1.0),
-                           Gaussian(g.mean + K @ (z - zhats[i]), cov)))
+                           AxisGaussian(mean, bx, by)))
 
     if clutter_intensity == 0.0 and detect:
         # zero-clutter limit: the one measurement is the target's

@@ -21,9 +21,8 @@ import sys
 import numpy as np
 
 from .bernoulli import ncv_motion_model
-from .config import (OBSERVATION_MATRIX, ConfigError, ScenarioConfig, default_label,
-                     load_config, parse_config)
-from .planners import (PlannerConfig, PlanningEnv, axis_belief, exhaustive_bellman,
+from .config import ConfigError, ScenarioConfig, default_label, load_config, parse_config
+from .planners import (PlannerConfig, PlanningEnv, exhaustive_bellman,
                        exhaustive_max_horizon, mcts_search)
 from .sensors import Bounds, ObstacleMap
 from .simulate import run_batch, run_comparison, write_metrics_csv, write_summary_json
@@ -86,11 +85,18 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         raw["mc_runs"] = args.runs
     wanted = getattr(args, "policy", None)
     if wanted is not None:
-        candidates = [p for p in [raw["policy"]] + raw.get("policies", [])
-                      if wanted in (p["name"], p["label"])]
-        if not candidates:
+        blocks = {}   # label -> block; the policy block may recur in the list
+        for p in [raw["policy"]] + raw.get("policies", []):
+            blocks.setdefault(p["label"], p)
+        # an exact label wins over a name
+        labels = [wanted] if wanted in blocks else \
+            [label for label, p in blocks.items() if p["name"] == wanted]
+        if not labels:
             raise ConfigError(f"config: no policy named or labelled {wanted!r}")
-        raw["policy"] = dict(candidates[0])
+        if len(labels) > 1:
+            raise ConfigError(f"--policy: {wanted!r} names {len(labels)} policies, "
+                              f"give one label of {', '.join(labels)}")
+        raw["policy"] = dict(blocks[labels[0]])
     policy = raw["policy"]
     if getattr(args, "budget", None) is not None and \
             policy["label"] == default_label(policy):
@@ -101,35 +107,23 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return parse_config(raw)
 
 
-def _write_resolved(cfg: ScenarioConfig, out_dir) -> None:
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(cfg.resolved_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cmd_run(args) -> int:
+def _simulate(args) -> int:
+    """``run`` the configured policy, or ``compare`` every listed one."""
+    compare = args.command == "compare"
     cfg = _apply_overrides(load_config(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
-    _write_resolved(cfg, args.out)
-    batch = run_batch(cfg, parallel=args.parallel)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), [batch])
-    write_summary_json(os.path.join(args.out, "summary.json"), cfg, [batch])
-    print(f"{batch.label}: rms gospa {batch.rms.overall:.4f} "
-          f"over {cfg.mc_runs} runs x {cfg.duration} steps")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if len(cfg.policies) < 2:
+    if compare and len(cfg.policies) < 2:
         raise ConfigError("config.policies: compare requires at least 2 policies")
     os.makedirs(args.out, exist_ok=True)
-    _write_resolved(cfg, args.out)
-    batches = run_comparison(cfg, parallel=args.parallel)
+    with open(os.path.join(args.out, "resolved_config.json"), "w") as fh:
+        json.dump(cfg.resolved_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    batches = (run_comparison(cfg, parallel=args.parallel) if compare
+               else [run_batch(cfg, parallel=args.parallel)])
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), batches)
     write_summary_json(os.path.join(args.out, "summary.json"), cfg, batches)
+    runs = "" if compare else f" over {cfg.mc_runs} runs x {cfg.duration} steps"
     for batch in batches:
-        print(f"{batch.label}: rms gospa {batch.rms.overall:.4f}")
+        print(f"{batch.label}: rms gospa {batch.rms.overall:.4f}{runs}")
     return 0
 
 
@@ -142,22 +136,20 @@ def _cmd_validate(args) -> int:
 
 def oracle_scenarios(seed: int):
     """Small planning problems with three feasible actions: (i, belief, position, env)."""
-    motion = ncv_motion_model(1.0, 5.0, 0.99, 0.1,
-                              np.array([10.0, 0.0, 10.0, 0.0]),
-                              np.diag([400.0, 25.0, 400.0, 25.0]))
+    motion = ncv_motion_model(1.0, 5.0, 0.99, 0.1, [10.0, 0.0, 10.0, 0.0],
+                              [400.0, 25.0, 400.0, 25.0])
     bounds = Bounds(0.0, 40.0, 0.0, 40.0)
     rng = np.random.default_rng(seed)
     for i in range(10):
         mean = np.array([rng.uniform(8, 32), rng.uniform(-2, 2),
                          rng.uniform(8, 32), rng.uniform(-2, 2)])
-        cov = np.diag(rng.uniform([50, 10, 50, 10], [300, 40, 300, 40]))
-        belief = axis_belief(rng.uniform(0.3, 0.9), mean, cov)
+        p, v, P, V = rng.uniform([50, 10, 50, 10], [300, 40, 300, 40]).tolist()
+        belief = (rng.uniform(0.3, 0.9), tuple(mean.tolist()), (p, 0.0, v), (P, 0.0, V))
         # a position at the left edge leaves exactly three in-bounds moves
         position = np.array([1.0, 20.0])
         env = PlanningEnv(motion=motion, obstacles=ObstacleMap(), bounds=bounds,
                           fov_radius=12.0, step_size=6.0, num_actions=4,
-                          p_detect=0.9, H=OBSERVATION_MATRIX,
-                          r_low=10.0, r_high=50.0, c=20.0)
+                          p_detect=0.9, r_low=10.0, r_high=50.0, c=20.0)
         yield i, belief, position, env
 
 
@@ -204,7 +196,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse: 2 for a rejected command line, 0 for --help
         return 1 if exc.code == 2 else exc.code
-    commands = {"run": _cmd_run, "compare": _cmd_compare,
+    commands = {"run": _simulate, "compare": _simulate,
                 "validate": _cmd_validate, "oracle": _cmd_oracle}
     try:
         return commands[args.command](args)

@@ -7,6 +7,7 @@ bounds and default once; parsing walks it, and the echo follows its layout.
 """
 
 import json
+import math
 from dataclasses import dataclass, is_dataclass
 from typing import NamedTuple
 
@@ -17,8 +18,6 @@ from .planners import PlannerConfig, PlanningEnv
 from .sensors import Bounds, ObstacleMap
 
 SCHEMA_VERSION = 1
-OBSERVATION_MATRIX = np.array([[1.0, 0.0, 0.0, 0.0],
-                               [0.0, 0.0, 1.0, 0.0]])
 
 
 class ConfigError(ValueError):
@@ -62,6 +61,7 @@ class Check(NamedTuple):
                  f"expected {'an integer' if kind is int else 'a number'}, got {data!r}")
         _require(low is None or data >= low, path, f"must be >= {low}, got {data}")
         _require(high is None or data <= high, path, f"must be <= {high}, got {data}")
+        _require(kind is int or math.isfinite(data), path, f"must be finite, got {data}")
         return kind(data)
 
 
@@ -232,14 +232,14 @@ class ScenarioConfig:
 
     def motion_model(self) -> MotionModel:
         return ncv_motion_model(self.tau, self.q, self.p_survival, self.p_birth,
-                                np.asarray(self.birth_mean), np.diag(self.birth_cov_diag))
+                                self.birth_mean, self.birth_cov_diag)
 
     def planning_env(self) -> PlanningEnv:
         return PlanningEnv(
             motion=self.motion_model(),
             obstacles=ObstacleMap(tuple(np.asarray(p) for p in self.obstacles)),
             bounds=self.bounds, fov_radius=self.fov_radius, step_size=self.step_size,
-            num_actions=self.num_actions, p_detect=self.p_detect, H=OBSERVATION_MATRIX,
+            num_actions=self.num_actions, p_detect=self.p_detect,
             r_low=self.r_low, r_high=self.r_high, c=self.gospa_c)
 
     def resolved_dict(self) -> dict:

@@ -11,17 +11,18 @@ which is the planning cost.
 A planning belief is a plain ``(r, mean, bx, by)`` tuple of floats:
 ``mean`` is [px, vx, py, vy], and ``bx``, ``by`` hold the ``(p, c, v)``
 entries of the x- and y-axis [position, velocity] covariance blocks,
-since planning covariances never couple the axes. These functions do
-scalar arithmetic, which at a unit time step equals the 4 x 4 matrix
-products bit for bit; ``tests/test_planning_kernel.py`` checks that, and
-the invariants (r in [0, 1], PSD blocks) at the extremes.
+as in the filter's ``AxisGaussian``. The detection branch is the
+filter's per-axis Kalman block update; the rest is scalar arithmetic,
+which at a unit time step equals the 4 x 4 matrix products bit for bit.
+``tests/test_planning_kernel.py`` checks that, and the invariants
+(r in [0, 1], PSD blocks) at the extremes.
 """
 
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .bernoulli import position_trace, threshold_for_trace
+from .bernoulli import kalman_block, position_trace, threshold_for_trace
 
 
 def pseudo_update(pred: tuple, noise: float) -> tuple:
@@ -33,12 +34,7 @@ def pseudo_update(pred: tuple, noise: float) -> tuple:
     variance ``noise`` per axis. Callers reuse it across the actions of a
     noise class, as it does not depend on the detection probability.
     """
-    (p, c, v), (P, C, V) = pred[2:]
-    ix, iy = 1.0 / (p + noise), 1.0 / (P + noise)
-    return ((p - (p * ix) * p, 0.5 * ((c - (p * ix) * c) + (c - (c * ix) * p)),
-             v - (c * ix) * c),
-            (P - (P * iy) * P, 0.5 * ((C - (P * iy) * C) + (C - (C * iy) * P)),
-             V - (C * iy) * C))
+    return kalman_block(pred[2], noise)[1], kalman_block(pred[3], noise)[1]
 
 
 def branch_weights(r: float, pd_bar: float) -> Tuple[float, float]:

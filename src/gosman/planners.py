@@ -21,24 +21,24 @@ draws random numbers, from its own stream.
 
 The closed loop hands every planner the predicted belief as a plain
 ``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and
-the inner loop is float arithmetic on such tuples. Within one decision
-the actions from a sensor position are enumerated once, the greedy
-policies get all their detection probabilities from one call, and ``kl``
-computes its Gaussian divergence once per noise class. Nothing is cached
-across decisions.
+the inner loop is float arithmetic on such tuples, in the filter's own
+per-axis kernels. Within one decision the actions from a sensor position
+are enumerated once, the greedy policies get all their detection
+probabilities from one call, and ``kl`` computes its Gaussian divergence
+once per noise class. Nothing is cached across decisions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import streams
-from .bernoulli import BernoulliDensity, Gaussian, LinearSensor, MotionModel
+from .bernoulli import AxisGaussian, BernoulliDensity, Gaussian, MotionModel, predict_axes
 from .costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
 from .sensors import (Action, Bounds, ObstacleMap, SensorState, enumerate_actions,
-                      noise_matrix, noise_variance)
+                      noise_variance)
 # planning looks its PD up under this module-level name, which the layer
 # tracer (perfbench/tracer.py) wraps as the planning PD
 from .sensors import gaussian_disc_pd as expected_pd
@@ -55,23 +55,9 @@ class PlanningEnv:
     step_size: float
     num_actions: int
     p_detect: float
-    H: np.ndarray
     r_low: float
     r_high: float
     c: float
-    # per-axis motion: time step, Q block (q00, q01, q11) and birth belief
-    axis_motion: tuple = field(init=False)
-
-    def __post_init__(self):
-        F, Q, birth = self.motion.F, self.motion.Q, self.motion.birth
-        tau = float(F[0, 1])
-        if not (np.array_equal(F, np.kron(np.eye(2), [[1.0, tau], [0.0, 1.0]]))
-                and np.array_equal(Q, np.kron(np.eye(2), Q[:2, :2]))
-                and np.array_equal(self.H, np.eye(4)[[0, 2]])):
-            raise ValueError("planning needs per-axis motion and position measurements")
-        q = tuple(Q[[0, 0, 1], [0, 1, 1]].tolist())
-        object.__setattr__(self, "axis_motion",
-                           (tau, q, axis_belief(0.0, birth.mean, birth.cov)[1:]))
 
     def sensor_at(self, position) -> SensorState:
         return SensorState(position, self.fov_radius, self.step_size,
@@ -79,10 +65,6 @@ class PlanningEnv:
 
     def actions_from(self, position) -> list:
         return enumerate_actions(self.sensor_at(position), self.obstacles, self.bounds)
-
-    def sensor_model(self, action: Action) -> LinearSensor:
-        return LinearSensor(self.H, noise_matrix(action.noise_class,
-                                                 self.r_low, self.r_high))
 
 
 @dataclass(frozen=True)
@@ -105,21 +87,15 @@ class PlannerConfig:
                 f"rollout must be 'random' or 'exhaustive', got {self.rollout!r}")
 
 
-def axis_belief(r: float, mean, cov) -> tuple:
-    """``(r, mean, bx, by)`` of a [px, vx, py, vy] Gaussian without cross-axis terms."""
-    cov = np.asarray(cov, dtype=float)
-    if np.any(cov[:2, 2:]) or np.any(cov[2:, :2]):
-        raise ValueError("planning needs a covariance without cross-axis terms")
-    (p, c, _, _), (_, v, _, _), (_, _, P, C), (_, _, _, V) = cov.tolist()
-    return float(r), tuple(np.asarray(mean, dtype=float).tolist()), (p, c, v), (P, C, V)
+def _belief(r: float, g: AxisGaussian) -> tuple:
+    return float(r), tuple(g.mean.tolist()), g.bx, g.by
 
 
 def planning_belief(density: BernoulliDensity) -> tuple:
     """The ``(r, mean, bx, by)`` belief of a single-component density."""
     if len(density.components) != 1:
         raise ValueError("planning requires a single-component density")
-    g = density.components[0]
-    return axis_belief(density.r, g.mean, g.cov)
+    return _belief(density.r, density.components[0])
 
 
 def _action_table(env: PlanningEnv) -> Callable:
@@ -166,17 +142,14 @@ def _predict_reduced(bel: tuple, env: PlanningEnv) -> tuple:
     p_B (1 - r) / r' and a survivor of weight p_S r / r'; the survivor
     wins ties.
     """
-    r, (px, vx, py, vy), (p, c, v), (P, C, V) = bel
-    tau, q, birth = env.axis_motion
-    r_birth = env.motion.p_birth * (1.0 - r)
-    r_surv = env.motion.p_survival * r
+    r, mean, bx, by = bel
+    motion = env.motion
+    r_birth = motion.p_birth * (1.0 - r)
+    r_surv = motion.p_survival * r
     r_pred = min(r_birth + r_surv, 1.0)
     if r_surv < r_birth:
-        return (r_pred,) + birth
-    # F P F^T + Q on each axis, with F = [[1, tau], [0, 1]]
-    return (r_pred, (px + tau * vx, vx, py + tau * vy, vy),
-            ((p + tau * c) + (c + tau * v) * tau + q[0], c + tau * v + q[1], v + q[2]),
-            ((P + tau * C) + (C + tau * V) * tau + q[0], C + tau * V + q[1], V + q[2]))
+        return _belief(r_pred, motion.birth)
+    return (r_pred,) + predict_axes(mean, bx, by, motion.tau, motion.q)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +371,7 @@ def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
     the predicted probability of existence; when either existence
     probability is degenerate (0 or 1) only the Gaussian term remains.
     """
-    if posterior.dim != 2 or predicted.dim != 2:
+    if len(posterior.mean) != 2 or len(predicted.mean) != 2:
         raise ValueError("kl_bernoulli_gaussian takes two-dimensional Gaussians")
     post, pred = (g.cov[[0, 0, 1], [0, 1, 1]].tolist() for g in (posterior, predicted))
     gauss = _gaussian_kl(post, pred, (posterior.mean - predicted.mean).tolist())

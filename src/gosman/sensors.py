@@ -157,7 +157,7 @@ def expected_pd(pred: Gaussian, sensor: SensorState, num_samples: int,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    idx = list(POSITION_INDICES) if pred.dim > 2 else [0, 1]
+    idx = list(POSITION_INDICES) if len(pred.mean) > 2 else [0, 1]
     mean = pred.mean[idx]
     cov = pred.cov[np.ix_(idx, idx)]
     pts = _uniform_disc(sensor.position, sensor.fov_radius, num_samples, rng)
@@ -206,19 +206,15 @@ def noise_variance(noise_class: str, r_low: float, r_high: float) -> float:
     return r_low if noise_class == LOW_NOISE else r_high
 
 
-def noise_matrix(noise_class: str, r_low: float, r_high: float) -> np.ndarray:
-    return np.eye(2) * noise_variance(noise_class, r_low, r_high)
-
-
-def generate_measurements(truth, sensor: SensorState, H: np.ndarray, R: np.ndarray,
+def generate_measurements(truth, sensor: SensorState, noise: float,
                           clutter_rate: float, rng: np.random.Generator) -> list:
-    """Target detection (within FOV) plus Poisson clutter uniform in the FOV."""
+    """Detections (within FOV, ``noise`` variance per axis) plus uniform clutter."""
     measurements = []
     for x in truth:
         pd = detection_probability(x, sensor)
         if pd > 0.0 and rng.random() < pd:
-            noise = rng.multivariate_normal(np.zeros(H.shape[0]), R)
-            measurements.append(H @ np.asarray(x, dtype=float) + noise)
+            draw = rng.multivariate_normal(np.zeros(2), noise * np.eye(2))
+            measurements.append(np.asarray(x, dtype=float)[list(POSITION_INDICES)] + draw)
     n_clutter = rng.poisson(clutter_rate)
     if n_clutter > 0:
         for pt in _uniform_disc(sensor.position, sensor.fov_radius, n_clutter, rng):

@@ -22,7 +22,7 @@ from .bernoulli import empty_density, extract_estimate, predict, reduce, update
 from .config import PolicySpec, ScenarioConfig
 from .gospa import GospaResult, RmsGospaSeries, gospa, rms_gospa
 from .planners import make_policy, planning_belief
-from .sensors import expected_pd, generate_measurements
+from .sensors import expected_pd, generate_measurements, noise_variance
 
 # filter settings: importance samples per PD estimate, mixture size cap and
 # pruning weight
@@ -149,17 +149,16 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
 
             sensor_position = action.target_position
             sensor = env.sensor_at(sensor_position)
-            model = env.sensor_model(action)
+            noise = noise_variance(action.noise_class, cfg.r_low, cfg.r_high)
 
             meas_rng = streams.stream(cfg.seed, run, t, streams.MEASUREMENT)
-            Z = generate_measurements(truth[t], sensor, model.H, model.R,
-                                      cfg.clutter_rate, meas_rng)
+            Z = generate_measurements(truth[t], sensor, noise, cfg.clutter_rate, meas_rng)
 
             pd_rng = streams.stream(cfg.seed, run, t, streams.FILTER_PD)
             pd_bar = sum(w * expected_pd(g, sensor, FILTER_PD_SAMPLES, pd_rng)
                          for w, g in zip(pred.weights, pred.components))
             pd_bar = float(np.clip(pd_bar, 0.0, cfg.p_detect))
-            posterior = update(pred, Z, model, pd_bar, cfg.clutter_intensity)
+            posterior = update(pred, Z, noise, pd_bar, cfg.clutter_intensity)
             posterior = reduce(posterior, FILTER_MAX_COMPONENTS, FILTER_PRUNE)
 
             estimate = extract_estimate(posterior, cfg.gospa_c)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gosman.bernoulli import (BernoulliDensity, Gaussian, LinearSensor,
+from gosman.bernoulli import (AxisGaussian, BernoulliDensity, Gaussian,
                               empty_density, extract_estimate, make_psd,
                               ncv_motion_model, optimal_threshold,
                               position_trace, predict, reduce, update)
@@ -13,13 +13,12 @@ H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
 def _model(p_survival=0.99, p_birth=0.01, q=1.0):
     return ncv_motion_model(1.0, q, p_survival, p_birth,
-                            np.zeros(4), np.diag([100.0, 25.0, 100.0, 25.0]))
+                            np.zeros(4), [100.0, 25.0, 100.0, 25.0])
 
 
-def _single(r, mean=None, cov=None):
-    mean = np.zeros(4) if mean is None else mean
-    cov = np.diag([50.0, 10.0, 50.0, 10.0]) if cov is None else cov
-    return BernoulliDensity(r, np.array([1.0]), (Gaussian(mean, cov),))
+def _single(r, mean=None, bx=(50.0, 0.0, 10.0), by=(50.0, 0.0, 10.0)):
+    mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float)
+    return BernoulliDensity(r, np.array([1.0]), (AxisGaussian(mean, bx, by),))
 
 
 def test_make_psd_repairs_tiny_negatives():
@@ -43,15 +42,17 @@ def test_make_psd_tolerance_follows_the_scale():
 
 def test_update_at_covariance_scale_1e10():
     # a detection at the predicted position cancels most of a huge
-    # covariance; the rounding left over must not be taken for indefiniteness
-    sensor = LinearSensor(H2, 1e-6 * np.eye(2))
+    # covariance; the rounding left over must not make a block indefinite
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 4))
-        cov = 1e10 * (a @ a.T + 1e-3 * np.eye(4))
-        pred = _single(0.5, rng.standard_normal(4), cov)
+        blocks = []
+        for _ in range(2):
+            a = rng.standard_normal((2, 2))
+            m = 1e10 * (a @ a.T + 1e-3 * np.eye(2))
+            blocks.append((m[0, 0], m[0, 1], m[1, 1]))
+        pred = _single(0.5, rng.standard_normal(4), *blocks)
         z = H2 @ pred.components[0].mean
-        post = update(pred, [z], sensor, pd_bar=0.9, clutter_intensity=1e-4)
+        post = update(pred, [z], 1e-6, pd_bar=0.9, clutter_intensity=1e-4)
         assert 0.0 < post.r <= 1.0 and len(post.components) == 2
         for g in post.components:
             w = np.linalg.eigvalsh(g.cov)
@@ -93,7 +94,7 @@ def test_predict_from_empty_gives_birth_only():
     pred = predict(empty_density(), model)
     assert pred.r == pytest.approx(0.03)
     assert len(pred.components) == 1
-    assert np.array_equal(pred.components[0].mean, model.birth.mean)
+    assert pred.components[0] is model.birth
 
 
 def test_predict_kalman_moments():
@@ -107,9 +108,8 @@ def test_predict_kalman_moments():
 
 
 def test_update_no_measurement_deflates_existence():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     pred = _single(0.8)
-    post = update(pred, [], sensor, pd_bar=0.9, clutter_intensity=1e-4)
+    post = update(pred, [], 10.0, pd_bar=0.9, clutter_intensity=1e-4)
     expected = 0.8 * (1.0 - 0.9) / (1.0 - 0.8 * 0.9)
     assert post.r == pytest.approx(expected)
     # misdetection keeps the spatial density unchanged
@@ -117,26 +117,23 @@ def test_update_no_measurement_deflates_existence():
 
 
 def test_update_zero_pd_is_identity():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     pred = _single(0.8)
-    post = update(pred, [], sensor, pd_bar=0.0, clutter_intensity=1e-4)
+    post = update(pred, [], 10.0, pd_bar=0.0, clutter_intensity=1e-4)
     assert post.r == pytest.approx(0.8)
 
 
 def test_update_close_measurement_raises_existence():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     pred = _single(0.5)
-    post = update(pred, [np.array([1.0, -1.0])], sensor,
+    post = update(pred, [np.array([1.0, -1.0])], 10.0,
                   pd_bar=0.9, clutter_intensity=1e-4)
     assert post.r > 0.95
 
 
 def test_update_single_component_matches_kalman():
     R = np.diag([10.0, 10.0])
-    sensor = LinearSensor(H2, R)
     pred = _single(0.5)
     z = np.array([2.0, -3.0])
-    post = update(pred, [z], sensor, pd_bar=0.9, clutter_intensity=1e-4)
+    post = update(pred, [z], 10.0, pd_bar=0.9, clutter_intensity=1e-4)
     # detection hypothesis dominates; compare with the Kalman update
     g0 = pred.components[0]
     S = H2 @ g0.cov @ H2.T + R
@@ -147,24 +144,21 @@ def test_update_single_component_matches_kalman():
 
 
 def test_update_zero_clutter_detection_is_certain():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     pred = _single(0.3)
-    post = update(pred, [np.array([0.5, 0.5])], sensor,
+    post = update(pred, [np.array([0.5, 0.5])], 10.0,
                   pd_bar=0.9, clutter_intensity=0.0)
     assert post.r == 1.0
     assert len(post.components) == 1
 
 
 def test_update_zero_clutter_rejects_two_measurements():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     with pytest.raises(ValueError):
-        update(_single(0.3), [np.zeros(2), np.ones(2)], sensor, 0.9, 0.0)
+        update(_single(0.3), [np.zeros(2), np.ones(2)], 10.0, 0.9, 0.0)
 
 
 def test_update_far_measurement_acts_like_clutter():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
     pred = _single(0.5)
-    post = update(pred, [np.array([1e6, 1e6])], sensor,
+    post = update(pred, [np.array([1e6, 1e6])], 10.0,
                   pd_bar=0.9, clutter_intensity=1e-4)
     expected = 0.5 * (1.0 - 0.9) / (1.0 - 0.5 * 0.9)
     assert post.r == pytest.approx(expected, rel=1e-6)
@@ -177,15 +171,14 @@ def _mvn_pdf(z, mean, cov):
 
 
 def test_update_mixture_in_clutter_matches_hand_enumeration():
-    R = np.diag([2.0, 3.0])
-    sensor = LinearSensor(H2, R)
+    R = np.diag([2.0, 2.0])
     r, pd_bar, lam = 0.6, 0.8, 2e-3
     w = np.array([0.3, 0.7])
-    comps = (Gaussian(np.array([0.0, 1.0, 0.0, -1.0]), np.diag([4.0, 1.0, 4.0, 1.0])),
-             Gaussian(np.array([5.0, 0.0, 3.0, 0.5]), np.diag([9.0, 2.0, 2.0, 1.0])))
+    comps = (AxisGaussian(np.array([0.0, 1.0, 0.0, -1.0]), (4.0, 0.5, 1.0), (4.0, 0.0, 1.0)),
+             AxisGaussian(np.array([5.0, 0.0, 3.0, 0.5]), (9.0, 0.0, 2.0), (2.0, -0.3, 1.0)))
     pred = BernoulliDensity(r, w, comps)
     Z = [np.array([1.0, 0.5]), np.array([4.0, 2.5])]
-    post = update(pred, Z, sensor, pd_bar, lam)
+    post = update(pred, Z, 2.0, pd_bar, lam)
 
     # misdetection of each component, then one detection per (measurement, component)
     want_w = [wi * (1.0 - pd_bar) for wi in w]
@@ -209,8 +202,7 @@ def test_update_mixture_in_clutter_matches_hand_enumeration():
 
 
 def test_update_empty_prior_stays_empty():
-    sensor = LinearSensor(H2, np.diag([10.0, 10.0]))
-    post = update(empty_density(), [np.zeros(2)], sensor, 0.9, 1e-4)
+    post = update(empty_density(), [np.zeros(2)], 10.0, 0.9, 1e-4)
     assert post.r == 0.0
 
 
@@ -245,11 +237,11 @@ def test_optimal_threshold_limits():
 
 
 def test_extract_estimate_threshold_behaviour():
-    cov = np.diag([1.0, 0.0, 1.0, 0.0])
-    d = _single(0.9, mean=np.array([5.0, 0.0, 6.0, 0.0]), cov=cov)
+    block = (1.0, 0.0, 0.0)
+    d = _single(0.9, np.array([5.0, 0.0, 6.0, 0.0]), block, block)
     est = extract_estimate(d, c=10.0)
     assert len(est) == 1
     assert est[0] == pytest.approx([5.0, 0.0, 6.0, 0.0])
-    low = _single(0.4, cov=cov)
+    low = _single(0.4, None, block, block)
     assert extract_estimate(low, c=10.0) == []
     assert extract_estimate(empty_density(), c=10.0) == []

@@ -84,6 +84,35 @@ def test_run_unknown_policy_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_policy_override_rejects_an_ambiguous_name(tmp_path, capsys):
+    raw = small_raw()
+    raw["policies"] = [{"name": "mcts", "budget": 3, "horizon": 2},
+                       {"name": "mcts", "budget": 4, "horizon": 2}]
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--policy", "mcts", "--runs", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "--policy: 'mcts' names 2 policies, give one label of mcts-3, mcts-4\n"
+    assert not out.exists()
+    # an exact label picks one
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--policy", "mcts-4", "--runs", "1"]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["policy"]["budget"] == 4
+
+
+def test_policy_override_counts_a_repeated_block_once(tmp_path):
+    raw = small_raw()
+    raw["policy"] = {"name": "mcts", "budget": 3, "horizon": 2}
+    raw["policies"] = [{"name": "ns"}, dict(raw["policy"])]
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--policy", "mcts", "--runs", "1"]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["policy"]["label"] == \
+        "mcts-3"
+
+
 def test_budget_and_lambda_overrides_apply_to_mcts(tmp_path):
     raw = small_raw()
     raw["policy"] = {"name": "mcts", "budget": 4, "horizon": 2}
@@ -279,6 +308,24 @@ def test_episode_failure_names_seed_run_step_and_policy(tmp_path, capsys, monkey
         f"step 4: LinAlgError: singular matrix\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("block, key, value, message", [
+    ("sensor", "fov_radius", float("inf"), "config.sensor.fov_radius: must be finite, got inf"),
+    ("motion", "birth_mean", [float("nan"), 0.0, 50.0, 0.0],
+     "config.motion.birth_mean[0]: must be finite, got nan"),
+])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, block, key, value, message):
+    raw = small_raw()
+    raw[block][key] = value
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    args = [command, "--config", cfg] + (["--out", str(out)] if command == "run" else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert not out.exists()
+
+
 def test_compare_matches_golden_metrics(tmp_path):
     # the file holds this command's output from before the planning kernel
     # moved to plain arrays; a change meant to leave results alone keeps it
@@ -292,4 +339,18 @@ def test_compare_matches_golden_metrics(tmp_path):
     assert main(["compare", "--config", write_config(tmp_path, raw),
                  "--out", str(out)]) == 0
     golden = root / "data" / "golden_obstacle_metrics.csv"
+    assert (out / "metrics.csv").read_bytes() == golden.read_bytes()
+
+
+def test_compare_matches_golden_open_metrics(tmp_path):
+    # model truth (motion and birth draws) and dense clutter, pinned byte for
+    # byte from before the filter moved to per-axis blocks
+    root = Path(__file__).resolve().parent
+    raw = json.loads((root.parent / "configs" / "open.json").read_text())
+    raw.update(duration=100, mc_runs=2, clutter_rate=1.0,
+               policies=[{"name": "ns"}, {"name": "gd"}])
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    golden = root / "data" / "golden_open_metrics.csv"
     assert (out / "metrics.csv").read_bytes() == golden.read_bytes()

@@ -8,9 +8,13 @@ positive semi-definite, under zero clutter, a detection probability of
 checked exactly: the prediction r' = p_B (1 - r) + p_S r with its
 birth-plus-survivor mixture, and the no-measurement update
 r' = r (1 - p_D) / (1 - r p_D), which leaves the spatial density as it
-was. Planning relies on one more invariant, pinned here as well: a
-covariance without cross-axis terms (x and y uncoupled) keeps them
-exactly 0.0 through predict, update and reduce.
+was.
+
+The filter works on per-axis blocks (``AxisGaussian``). Its former 4 x 4
+matrix prediction and update are kept here as a test-only reference: the
+per-axis filter matches them bit for bit, except for a prediction at a
+time step other than 1, where BLAS may fuse multiply-adds and the
+tolerance is 1e-12 of the largest entry.
 """
 
 import numpy as np
@@ -18,12 +22,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gosman.bernoulli import (BernoulliDensity, Gaussian, LinearSensor,
+from gosman.bernoulli import (AxisGaussian, BernoulliDensity, Gaussian, _gaussian_pdf,
                               ncv_motion_model, predict, reduce, update)
-from gosman.config import OBSERVATION_MATRIX
-from gosman.planners import planning_belief
 
 SETTINGS = settings(max_examples=80, deadline=None)
+H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 SCALES = (1e-6, 1.0, 1e8)
 probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 # zero clutter, the shipped FOV's 1/(pi 12^2), and a dense field
@@ -32,28 +35,22 @@ clutter = st.sampled_from([0.0, 1e-4, 1.0 / (np.pi * 144.0), 1.0])
 
 @st.composite
 def gaussians(draw, scale):
-    a = draw(arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)))
-    mean = draw(arrays(float, 4, elements=st.floats(-100.0, 100.0)))
-    return Gaussian(mean, scale * (a @ a.T + 1e-3 * np.eye(4)))
-
-
-@st.composite
-def axis_gaussians(draw, scale):
-    """A [px, vx, py, vy] Gaussian whose covariance does not couple the axes."""
-    cov = np.zeros((4, 4))
-    for i in (0, 2):
+    """A [px, vx, py, vy] Gaussian: two positive definite per-axis blocks."""
+    blocks = []
+    for _ in range(2):
         a = draw(arrays(float, (2, 2), elements=st.floats(-1.0, 1.0)))
-        cov[i:i + 2, i:i + 2] = scale * (a @ a.T + 1e-3 * np.eye(2))
+        m = scale * (a @ a.T + 1e-3 * np.eye(2))
+        blocks.append((float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1])))
     mean = draw(arrays(float, 4, elements=st.floats(-100.0, 100.0)))
-    return Gaussian(mean, cov)
+    return AxisGaussian(mean, *blocks)
 
 
 @st.composite
-def densities(draw, max_components=4, per_axis=False):
+def densities(draw, max_components=4):
     """A mixture density whose covariances share one of the extreme scales."""
     scale = draw(st.sampled_from(SCALES))
     n = draw(st.integers(1, max_components))
-    comps = [draw((axis_gaussians if per_axis else gaussians)(scale)) for _ in range(n)]
+    comps = [draw(gaussians(scale)) for _ in range(n)]
     weights = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
     return BernoulliDensity(draw(probabilities), weights, comps)
 
@@ -67,14 +64,62 @@ def measurement_sets(draw, density, clutter_intensity):
         g = density.components[draw(st.integers(0, len(density.components) - 1))]
         offset = draw(st.one_of(st.just(np.zeros(2)),
                                 arrays(float, 2, elements=st.floats(-50.0, 50.0))))
-        Z.append(OBSERVATION_MATRIX @ g.mean + offset)
+        Z.append(H @ g.mean + offset)
     return Z
 
 
-def _motion(p_survival, p_birth):
-    return ncv_motion_model(1.0, 2.0, p_survival, p_birth,
-                            np.array([50.0, 0.0, 50.0, 0.0]),
-                            np.diag([200.0, 25.0, 200.0, 25.0]))
+def _motion(p_survival, p_birth, tau=1.0):
+    return ncv_motion_model(tau, 2.0, p_survival, p_birth,
+                            np.array([50.0, 0.0, 50.0, 0.0]), [200.0, 25.0, 200.0, 25.0])
+
+
+# ---------------------------------------------------------------------------
+# the 4 x 4 reference: the matrix filter, with its validating Gaussian
+
+
+def _ref_predict_component(g, motion):
+    F = motion.F
+    return Gaussian(F @ g.mean, F @ g.cov @ F.T + motion.Q)
+
+
+def _ref_update(pred, Z, noise, pd_bar, clutter_intensity):
+    """The former update with H, R = noise I and Kalman matrices: (r, weights, comps)."""
+    R = noise * np.eye(2)
+    zhats = [H @ g.mean for g in pred.components]
+    Ss = [H @ g.cov @ H.T + R for g in pred.components]
+    miss = [(w * (1.0 - pd_bar), g) for w, g in zip(pred.weights, pred.components)]
+    detect = []
+    like_total = 0.0
+    for z in Z:
+        like = [w * _gaussian_pdf(z, zh, S) for w, zh, S in zip(pred.weights, zhats, Ss)]
+        like_total += sum(like)
+        for i, w_l in enumerate(like):
+            if pd_bar == 0.0 or w_l <= 0.0:
+                continue
+            g = pred.components[i]
+            K = g.cov @ H.T @ np.linalg.inv(Ss[i])
+            detect.append((pd_bar * w_l / (clutter_intensity or 1.0),
+                           Gaussian(g.mean + K @ (z - zhats[i]), g.cov - K @ H @ g.cov)))
+    if clutter_intensity == 0.0 and detect:
+        hyps, r_new = detect, 1.0
+    else:
+        if clutter_intensity > 0.0:
+            hyps, delta = miss + detect, pd_bar * (1.0 - like_total / clutter_intensity)
+        else:
+            hyps, delta = miss, pd_bar
+        denom = 1.0 - pred.r * delta
+        r_new = pred.r * (1.0 - delta) / denom if denom > 0.0 else 0.0
+    r_new = float(np.clip(r_new, 0.0, 1.0))
+    kept = [(w, g) for w, g in hyps if w > 0.0]
+    if r_new == 0.0 or not kept:
+        return 0.0, np.zeros(0), []
+    w = np.asarray([k[0] for k in kept])
+    return r_new, w / w.sum(), [k[1] for k in kept]
+
+
+def _assert_component(got, want, rel=0.0):
+    for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+        assert np.all(np.abs(a - b) <= rel * np.abs(b).max())
 
 
 def _assert_valid(density):
@@ -98,9 +143,9 @@ def _assert_same_components(post, pred):
 
 
 @SETTINGS
-@given(densities(), probabilities, probabilities)
-def test_predict_invariants_and_identity(prior, p_survival, p_birth):
-    motion = _motion(p_survival, p_birth)
+@given(densities(), probabilities, probabilities, st.sampled_from([1.0, 0.1, 2.5]))
+def test_predict_invariants_and_identity(prior, p_survival, p_birth, tau):
+    motion = _motion(p_survival, p_birth, tau)
     pred = predict(prior, motion)
     _assert_valid(pred)
 
@@ -114,19 +159,18 @@ def test_predict_invariants_and_identity(prior, p_survival, p_birth):
     # a survivor whose weight underflows to zero is dropped
     surv_w = [r_surv * w / r_pred for w in prior.weights]
     kept = [i for i, w in enumerate(surv_w) if w > 0.0]
-    want_w = ([r_birth / r_pred] if r_birth > 0.0 else []) + [surv_w[i] for i in kept]
-    assert pred.weights == pytest.approx(want_w, rel=1e-12)
+    want_w = np.array(([r_birth / r_pred] if r_birth > 0.0 else [])
+                      + [surv_w[i] for i in kept])
+    # normalised: with a subnormal r' the quotients can round far from summing to 1
+    assert pred.weights == pytest.approx(want_w / want_w.sum(), rel=1e-12)
     survivors = pred.components
     if r_birth > 0.0:
         assert survivors[0] is motion.birth
         survivors = survivors[1:]
     assert len(survivors) == len(kept)
     for got, i in zip(survivors, kept):
-        g = prior.components[i]
-        assert np.array_equal(got.mean, motion.F @ g.mean)
-        want_cov = motion.F @ g.cov @ motion.F.T + motion.Q
-        assert np.allclose(got.cov, want_cov, rtol=1e-12,
-                           atol=1e-12 * np.abs(want_cov).max())
+        _assert_component(got, _ref_predict_component(prior.components[i], motion),
+                          0.0 if tau == 1.0 else 1e-12)
 
 
 @SETTINGS
@@ -134,9 +178,16 @@ def test_predict_invariants_and_identity(prior, p_survival, p_birth):
        st.sampled_from([10.0, 50.0]))
 def test_update_invariants(data, pred, pd_bar, clutter_intensity, noise):
     Z = data.draw(measurement_sets(pred, clutter_intensity))
-    sensor = LinearSensor(OBSERVATION_MATRIX, noise * np.eye(2))
-    post = update(pred, Z, sensor, pd_bar, clutter_intensity)
+    post = update(pred, Z, noise, pd_bar, clutter_intensity)
     _assert_valid(post)
+    if pred.r > 0.0:
+        # the 4 x 4 reference, bit for bit
+        r, weights, comps = _ref_update(pred, Z, noise, pd_bar, clutter_intensity)
+        assert post.r == r
+        assert np.array_equal(post.weights, weights)
+        assert len(post.components) == len(comps)
+        for got, want in zip(post.components, comps):
+            _assert_component(got, want)
     if pd_bar == 0.0:
         # nothing can be detected: the update learns nothing
         assert post.r == pred.r
@@ -146,8 +197,7 @@ def test_update_invariants(data, pred, pd_bar, clutter_intensity, noise):
 @SETTINGS
 @given(densities(), probabilities, clutter)
 def test_update_without_measurements_is_misdetection(pred, pd_bar, clutter_intensity):
-    sensor = LinearSensor(OBSERVATION_MATRIX, 10.0 * np.eye(2))
-    post = update(pred, [], sensor, pd_bar, clutter_intensity)
+    post = update(pred, [], 10.0, pd_bar, clutter_intensity)
     _assert_valid(post)
     if pred.r == 0.0:
         assert post is pred
@@ -183,7 +233,7 @@ def test_reduce_invariants(density, max_components, prune):
 
 
 def test_predict_drops_survivors_whose_weight_underflows():
-    g = Gaussian(np.zeros(4), 1e-9 * np.eye(4))
+    g = AxisGaussian(np.zeros(4), (1e-9, 0.0, 1e-9), (1e-9, 0.0, 1e-9))
     prior = BernoulliDensity(5e-324, np.array([0.5, 0.5]), (g, g))
     # r_surv w / r' is 2.5e-324, which rounds to zero
     assert predict(prior, _motion(1.0, 0.0)).r == 0.0
@@ -191,36 +241,6 @@ def test_predict_drops_survivors_whose_weight_underflows():
     pred = predict(prior, motion)
     assert len(pred.components) == 1 and pred.components[0] is motion.birth
     assert pred.r == 0.1
-
-
-def _assert_per_axis(density):
-    for g in density.components:
-        assert not np.any(g.cov[:2, 2:]) and not np.any(g.cov[2:, :2])
-
-
-@SETTINGS
-@given(st.data(), densities(per_axis=True), probabilities, probabilities,
-       probabilities, clutter, st.sampled_from([10.0, 50.0]))
-def test_cross_axis_terms_stay_zero(data, prior, p_survival, p_birth, pd_bar,
-                                    clutter_intensity, noise):
-    pred = predict(prior, _motion(p_survival, p_birth))
-    _assert_per_axis(pred)
-    if pred.components:
-        planning_belief(reduce(pred, max_components=1))
-    Z = data.draw(measurement_sets(pred, clutter_intensity)) if pred.components else []
-    sensor = LinearSensor(OBSERVATION_MATRIX, noise * np.eye(2))
-    post = update(pred, Z, sensor, pd_bar, clutter_intensity)
-    _assert_per_axis(post)
-    _assert_per_axis(reduce(post, data.draw(st.integers(1, 5)),
-                            data.draw(st.sampled_from([0.0, 1e-4, 0.2]))))
-
-
-def test_planning_belief_rejects_cross_axis_terms():
-    cov = np.diag([4.0, 1.0, 4.0, 1.0])
-    cov[1, 2] = cov[2, 1] = 1e-300
-    density = BernoulliDensity(0.5, np.array([1.0]), (Gaussian(np.zeros(4), cov),))
-    with pytest.raises(ValueError, match="cross-axis"):
-        planning_belief(density)
 
 
 @example(1.0 + 5e-13)

@@ -4,30 +4,27 @@ import numpy as np
 import pytest
 
 from gosman import planners
-from gosman.bernoulli import BernoulliDensity, Gaussian, ncv_motion_model
+from gosman.bernoulli import AxisGaussian, BernoulliDensity, Gaussian, ncv_motion_model
 from gosman.costs import merge_hypotheses, node_cost, pseudo_update
-from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode, axis_belief,
+from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode,
                              backpropagate, evaluate_action, exhaustive_bellman,
                              kl_bernoulli_gaussian, kl_plan, make_policy,
                              mcts_search, myopic_plan, nearest_sensor_plan,
                              planning_belief, uct_select)
 from gosman.sensors import Bounds, ObstacleMap, noise_variance
 
-H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-
 
 def _env(num_actions=4):
     motion = ncv_motion_model(1.0, 2.0, 0.99, 0.05,
-                              np.array([25.0, 0.0, 25.0, 0.0]),
-                              np.diag([200.0, 25.0, 200.0, 25.0]))
+                              np.array([25.0, 0.0, 25.0, 0.0]), [200.0, 25.0, 200.0, 25.0])
     return PlanningEnv(motion=motion, obstacles=ObstacleMap(),
                        bounds=Bounds(0.0, 100.0, 0.0, 100.0),
                        fov_radius=12.0, step_size=6.0, num_actions=num_actions,
-                       p_detect=0.9, H=H2, r_low=10.0, r_high=50.0, c=20.0)
+                       p_detect=0.9, r_low=10.0, r_high=50.0, c=20.0)
 
 
 def _belief(r=0.7, mean=(30.0, 0.5, 30.0, -0.5)):
-    return axis_belief(r, mean, np.diag([80.0, 16.0, 80.0, 16.0]))
+    return r, tuple(mean), (80.0, 0.0, 16.0), (80.0, 0.0, 16.0)
 
 
 def test_evaluate_action_cost_matches_components():
@@ -51,7 +48,7 @@ def test_evaluate_action_cost_matches_components():
 
 
 def test_planning_belief_requires_single_component():
-    g = Gaussian(np.zeros(4), np.eye(4))
+    g = AxisGaussian(np.zeros(4), (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
     mixture = BernoulliDensity(0.5, np.array([0.5, 0.5]), (g, g))
     with pytest.raises(ValueError):
         planning_belief(mixture)

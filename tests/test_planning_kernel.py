@@ -20,16 +20,14 @@ without the filter's validating constructors. Two kinds of check:
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gosman.bernoulli import (BernoulliDensity, Gaussian, ncv_motion_model,
+from gosman.bernoulli import (AxisGaussian, BernoulliDensity, ncv_motion_model,
                               position_trace, predict, reduce, threshold_for_trace)
-from gosman.config import OBSERVATION_MATRIX
 from gosman.costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
 from gosman.planners import (PlannerConfig, PlanningEnv, _gaussian_kl, _predict_reduced,
-                             axis_belief, kl_plan, mcts_search, myopic_plan,
+                             kl_plan, mcts_search, myopic_plan,
                              nearest_sensor_plan, planning_belief)
 from gosman.sensors import Bounds, ObstacleMap
 
@@ -75,8 +73,7 @@ def _assert_psd(bx, by):
 
 def _motion(p_survival, p_birth, tau=1.0):
     return ncv_motion_model(tau, 2.0, p_survival, p_birth,
-                            np.array([50.0, 0.0, 50.0, 0.0]),
-                            np.diag([200.0, 25.0, 200.0, 25.0]))
+                            np.array([50.0, 0.0, 50.0, 0.0]), [200.0, 25.0, 200.0, 25.0])
 
 
 BOUNDS = Bounds(0.0, 100.0, 0.0, 100.0)
@@ -87,8 +84,7 @@ OBSTACLES = ObstacleMap(((np.array([[40.0, 40.0], [60.0, 40.0], [60.0, 60.0],
 def _env(p_detect=0.9, p_survival=0.99, p_birth=0.05, tau=1.0):
     return PlanningEnv(motion=_motion(p_survival, p_birth, tau), obstacles=OBSTACLES,
                        bounds=BOUNDS, fov_radius=12.0, step_size=6.0, num_actions=6,
-                       p_detect=p_detect, H=OBSERVATION_MATRIX,
-                       r_low=10.0, r_high=50.0, c=20.0)
+                       p_detect=p_detect, r_low=10.0, r_high=50.0, c=20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def _env(p_detect=0.9, p_survival=0.99, p_birth=0.05, tau=1.0):
 
 
 def _ref_pseudo_update(cov, noise):
-    H, R = OBSERVATION_MATRIX, noise * np.eye(2)
+    H, R = np.eye(4)[[0, 2]], noise * np.eye(2)
     S = H @ cov @ H.T + R
     P1 = cov - cov @ H.T @ np.linalg.inv(S) @ H @ cov
     return 0.5 * (P1 + P1.T)
@@ -158,17 +154,6 @@ def test_predict_reduced_matches_4x4_reference(bel, tau):
     _assert_close(_cov(bx, by), want_cov, rel)
 
 
-def test_env_rejects_cross_axis_motion():
-    motion = _motion(0.99, 0.05)
-    coupled = motion.Q.copy()
-    coupled[0, 2] = coupled[2, 0] = 0.1
-    with pytest.raises(ValueError, match="per-axis"):
-        PlanningEnv(motion=type(motion)(motion.F, coupled, 0.99, 0.05, motion.birth),
-                    obstacles=OBSTACLES, bounds=BOUNDS, fov_radius=12.0,
-                    step_size=6.0, num_actions=6, p_detect=0.9, H=OBSERVATION_MATRIX,
-                    r_low=10.0, r_high=50.0, c=20.0)
-
-
 # ---------------------------------------------------------------------------
 # invariants at the extremes
 
@@ -188,7 +173,7 @@ def test_predict_reduced_invariants(bel, p_survival, p_birth):
     assume(r_birth + r_surv > 0.0)
     assume(abs(r_surv - r_birth) > 1e-9 * max(r_surv, r_birth))
     density = BernoulliDensity(r0, np.array([1.0]),
-                               (Gaussian(np.array(bel[1]), _cov(bel[2], bel[3])),))
+                               (AxisGaussian(np.array(bel[1]), bel[2], bel[3]),))
     want = planning_belief(reduce(predict(density, env.motion), max_components=1))
     assert r == want[0]
     assert mean == want[1]
@@ -198,7 +183,8 @@ def test_predict_reduced_invariants(bel, p_survival, p_birth):
 def test_predict_reduced_tie_keeps_survivor():
     env = _env(p_survival=0.3, p_birth=0.3)
     mean = np.array([10.0, 1.0, 20.0, -1.0])
-    density = BernoulliDensity(0.5, np.array([1.0]), (Gaussian(mean, np.eye(4)),))
+    unit = (1.0, 0.0, 1.0)
+    density = BernoulliDensity(0.5, np.array([1.0]), (AxisGaussian(mean, unit, unit),))
     want = planning_belief(reduce(predict(density, env.motion), max_components=1))
     r, got_mean, _, _ = _predict_reduced(planning_belief(density), env)
     assert r == want[0]
@@ -253,6 +239,9 @@ def test_every_planner_returns_a_feasible_action(bel, p_detect, position):
 
 
 def test_axis_belief_round_trip():
-    cov = _cov((4.0, 1.0, 2.0), (9.0, -3.0, 5.0))
-    assert axis_belief(np.float64(0.5), np.arange(4.0), cov) == \
-        (0.5, (0.0, 1.0, 2.0, 3.0), (4.0, 1.0, 2.0), (9.0, -3.0, 5.0))
+    # a filter component's blocks reach the planner as they are, as plain floats
+    g = AxisGaussian(np.arange(4.0), (4.0, 1.0, 2.0), (9.0, -3.0, 5.0))
+    belief = planning_belief(BernoulliDensity(np.float64(0.5), np.array([1.0]), (g,)))
+    assert belief == (0.5, (0.0, 1.0, 2.0, 3.0), (4.0, 1.0, 2.0), (9.0, -3.0, 5.0))
+    assert all(type(x) is float for x in (belief[0], *belief[1]))
+    assert np.array_equal(_cov(belief[2], belief[3]), g.cov)

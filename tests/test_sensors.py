@@ -10,9 +10,7 @@ from gosman.bernoulli import Gaussian
 from gosman.sensors import (Action, Bounds, HIGH_NOISE, LOW_NOISE, ObstacleMap,
                             SensorState, detection_probability,
                             enumerate_actions, expected_pd, gaussian_disc_pd,
-                            generate_measurements, noise_matrix)
-
-H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+                            generate_measurements)
 
 
 def _sensor(position=(0.0, 0.0), fov=10.0, step=5.0, n=4, pd=0.9):
@@ -250,31 +248,24 @@ def test_gaussian_disc_pd_batch_matches_single_centre():
         assert batch.tolist() == single
 
 
-def test_noise_matrix_classes():
-    assert noise_matrix(LOW_NOISE, 10.0, 50.0) == pytest.approx(np.diag([10.0, 10.0]))
-    assert noise_matrix(HIGH_NOISE, 10.0, 50.0) == pytest.approx(np.diag([50.0, 50.0]))
-
-
 def test_generate_measurements_detection_and_clutter():
     s = _sensor(fov=10.0, pd=1.0)
-    R = np.diag([0.01, 0.01])
     rng = np.random.default_rng(3)
     truth = [np.array([1.0, 0.0, 2.0, 0.0])]
-    Z = generate_measurements(truth, s, H2, R, clutter_rate=0.0, rng=rng)
+    Z = generate_measurements(truth, s, 0.01, clutter_rate=0.0, rng=rng)
     assert len(Z) == 1
     assert Z[0] == pytest.approx([1.0, 2.0], abs=1.0)
 
 
 def test_generate_measurements_out_of_fov_only_clutter():
     s = _sensor(fov=10.0, pd=1.0)
-    R = np.diag([0.01, 0.01])
     rng = np.random.default_rng(4)
     truth = [np.array([100.0, 0.0, 100.0, 0.0])]
-    counts = [len(generate_measurements(truth, s, H2, R, 2.0, rng))
+    counts = [len(generate_measurements(truth, s, 0.01, 2.0, rng))
               for _ in range(300)]
     # no detections, so counts are Poisson(2) and clutter stays in the disc
     assert np.mean(counts) == pytest.approx(2.0, abs=0.3)
-    Z = generate_measurements(truth, s, H2, R, 50.0, rng)
+    Z = generate_measurements(truth, s, 0.01, 50.0, rng)
     assert all(np.linalg.norm(z - s.position) <= s.fov_radius for z in Z)
 
 
