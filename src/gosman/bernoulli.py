@@ -278,23 +278,9 @@ def reduce(density: BernoulliDensity, max_components: int,
     return BernoulliDensity(density.r, w / w.sum(), comps)
 
 
-def optimal_threshold(cov: np.ndarray, c: float) -> float:
-    """Optimal detection threshold for the MSGOSPA-optimal set estimator."""
-    return threshold_for_trace(position_trace(cov), c)
-
-
 def threshold_for_trace(tr: float, c: float) -> float:
-    """Optimal detection threshold given the covariance trace ``tr``."""
+    """Optimal detection threshold given the trace ``tr`` of the position covariance."""
     return 1.0 / (2.0 - min(2.0 * tr / (c * c), 1.0))
-
-
-def position_trace(cov: np.ndarray) -> float:
-    """Trace of the covariance over the position block; a 2 x 2 one is that block."""
-    cov = np.asarray(cov)
-    if cov.shape[0] == 2:
-        return float(np.trace(cov))
-    idx = list(POSITION_INDICES)
-    return float(cov[idx, idx].sum())
 
 
 def extract_estimate(density: BernoulliDensity, c: float) -> list:
@@ -306,6 +292,6 @@ def extract_estimate(density: BernoulliDensity, c: float) -> list:
     if density.r == 0.0 or len(density.components) == 0:
         return []
     g = density.top_component
-    if density.r >= optimal_threshold(g.cov, c):
+    if density.r >= threshold_for_trace(g.bx[0] + g.by[0], c):
         return [g.mean]
     return []

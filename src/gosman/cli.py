@@ -110,6 +110,8 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 def _simulate(args) -> int:
     """``run`` the configured policy, or ``compare`` every listed one."""
     compare = args.command == "compare"
+    if args.parallel < 0:
+        raise ConfigError(f"--parallel: must be >= 0, got {args.parallel}")
     cfg = _apply_overrides(load_config(args.config), args)
     if compare and len(cfg.policies) < 2:
         raise ConfigError("config.policies: compare requires at least 2 policies")

@@ -7,7 +7,7 @@ bounds and default once; parsing walks it, and the echo follows its layout.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass, is_dataclass
 from typing import NamedTuple
 
@@ -61,7 +61,9 @@ class Check(NamedTuple):
                  f"expected {'an integer' if kind is int else 'a number'}, got {data!r}")
         _require(low is None or data >= low, path, f"must be >= {low}, got {data}")
         _require(high is None or data <= high, path, f"must be <= {high}, got {data}")
-        _require(kind is int or math.isfinite(data), path, f"must be finite, got {data}")
+        # false for inf, nan and an integer too large for a float, which float() rejects
+        _require(kind is int or abs(data) <= sys.float_info.max, path,
+                 f"must be finite, got {data}")
         return kind(data)
 
 

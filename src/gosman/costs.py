@@ -18,11 +18,9 @@ which at a unit time step equals the 4 x 4 matrix products bit for bit.
 (r in [0, 1], PSD blocks) at the extremes.
 """
 
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from .bernoulli import kalman_block, position_trace, threshold_for_trace
+from .bernoulli import kalman_block, threshold_for_trace
 
 
 def pseudo_update(pred: tuple, noise: float) -> tuple:
@@ -47,37 +45,24 @@ def branch_weights(r: float, pd_bar: float) -> Tuple[float, float]:
     return r_miss, pd_bar * r
 
 
-class BoundResult(NamedTuple):
-    cost: float
-    threshold: float
-
-
-def _cost_at_threshold(threshold: float, r: float, tr: float, c: float) -> float:
+def msgospa_cost_at_threshold(threshold: float, r: float, tr: float, c: float) -> float:
+    """MSGOSPA upper bound of the set estimator with a given threshold and position trace."""
     if r <= threshold:
         return 0.5 * c * c * r
     return 0.5 * c * c * (1.0 - r) + r * min(tr, c * c)
 
 
-def msgospa_cost_at_threshold(threshold: float, r: float, cov: np.ndarray,
-                              c: float) -> float:
-    """MSGOSPA upper bound of the set estimator with a given threshold."""
-    return _cost_at_threshold(threshold, r, position_trace(cov), c)
-
-
-def msgospa_bound(r: float, cov: np.ndarray, c: float) -> BoundResult:
+def msgospa_bound(r: float, tr: float, c: float) -> float:
     """Upper bound on the MSGOSPA error at the optimal detection threshold."""
-    tr = position_trace(cov)
-    threshold = threshold_for_trace(tr, c)
-    return BoundResult(_cost_at_threshold(threshold, r, tr, c), threshold)
+    return msgospa_cost_at_threshold(threshold_for_trace(tr, c), r, tr, c)
 
 
 def node_cost(pred: tuple, detect: tuple, pd_bar: float, c: float) -> float:
     """Expected planning cost over the two observations; ``detect`` is ``(bx, by)``."""
     r, _, bx, by = pred
     r_miss, p = branch_weights(r, pd_bar)
-    tr, tr_hit = bx[0] + by[0], detect[0][0] + detect[1][0]
-    miss = _cost_at_threshold(threshold_for_trace(tr, c), r_miss, tr, c)
-    hit = _cost_at_threshold(threshold_for_trace(tr_hit, c), 1.0, tr_hit, c)
+    miss = msgospa_bound(r_miss, bx[0] + by[0], c)
+    hit = msgospa_bound(1.0, detect[0][0] + detect[1][0], c)
     return (1.0 - p) * miss + p * hit
 
 

@@ -22,26 +22,29 @@ draws random numbers, from its own stream.
 The closed loop hands every planner the predicted belief as a plain
 ``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and
 the inner loop is float arithmetic on such tuples, in the filter's own
-per-axis kernels. Within one decision the actions from a sensor position
-are enumerated once, the greedy policies get all their detection
+per-axis kernels. The env enumerates the actions from a sensor position
+once per episode, the greedy policies get all their detection
 probabilities from one call, and ``kl`` computes its Gaussian divergence
-once per noise class. Nothing is cached across decisions.
+once per noise class.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import streams
-from .bernoulli import AxisGaussian, BernoulliDensity, Gaussian, MotionModel, predict_axes
+from .bernoulli import AxisGaussian, BernoulliDensity, MotionModel, predict_axes
 from .costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
 from .sensors import (Action, Bounds, ObstacleMap, SensorState, enumerate_actions,
                       noise_variance)
 # planning looks its PD up under this module-level name, which the layer
 # tracer (perfbench/tracer.py) wraps as the planning PD
 from .sensors import gaussian_disc_pd as expected_pd
+
+# positions a ``PlanningEnv`` memoises before clearing them; only off-lattice walks get here
+ACTION_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,25 @@ class PlanningEnv:
     r_low: float
     r_high: float
     c: float
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sensor_at(self, position) -> SensorState:
         return SensorState(position, self.fov_radius, self.step_size,
                            self.num_actions, self.p_detect)
 
-    def actions_from(self, position) -> list:
-        return enumerate_actions(self.sensor_at(position), self.obstacles, self.bounds)
+    def actions_from(self, position) -> tuple:
+        """Feasible actions from ``position``, enumerated once per exact position.
+
+        The env lives for one episode, and every planner shares its memo.
+        """
+        key = tuple(position)
+        actions = self._actions.get(key)
+        if actions is None:
+            if len(self._actions) >= ACTION_MEMO_SIZE:
+                self._actions.clear()
+            actions = self._actions[key] = tuple(
+                enumerate_actions(self.sensor_at(position), self.obstacles, self.bounds))
+        return actions
 
 
 @dataclass(frozen=True)
@@ -96,22 +111,6 @@ def planning_belief(density: BernoulliDensity) -> tuple:
     if len(density.components) != 1:
         raise ValueError("planning requires a single-component density")
     return _belief(density.r, density.components[0])
-
-
-def _action_table(env: PlanningEnv) -> Callable:
-    """``actions_from`` that enumerates each sensor position once.
-
-    Meant to live for one decision, so the table never outgrows it.
-    """
-    table = {}
-
-    def actions_from(position) -> list:
-        key = tuple(position)
-        actions = table.get(key)
-        if actions is None:
-            actions = table[key] = env.actions_from(position)
-        return actions
-    return actions_from
 
 
 def _plan_pd(env: PlanningEnv, pred: tuple, actions: list) -> list:
@@ -173,22 +172,20 @@ def exhaustive_bellman(belief: tuple, sensor_position, env: PlanningEnv,
     the optimum is found by plain enumeration. Guarded against horizons
     whose full expansion exceeds a million leaves.
     """
-    actions = _action_table(env)
-    if not 1 <= horizon <= exhaustive_max_horizon(len(actions(sensor_position))):
+    if not 1 <= horizon <= exhaustive_max_horizon(len(env.actions_from(sensor_position))):
         raise ValueError("exhaustive horizon below 1 or too large to enumerate")
-    value, action = _bellman_value(env, actions, belief, sensor_position, horizon,
-                                   discount)
+    value, action = _bellman_value(env, belief, sensor_position, horizon, discount)
     return action, value
 
 
-def _bellman_value(env, actions, pred, position, steps_left, discount):
+def _bellman_value(env, pred, position, steps_left, discount):
     """Least discounted cost of ``steps_left >= 1`` actions from a predicted belief."""
     best_value, best_action = math.inf, None
-    choices = actions(position)
+    choices = env.actions_from(position)
     for action, pd_bar in zip(choices, _plan_pd(env, pred, choices)):
         value, merged = evaluate_action(env, pred, action, pd_bar)
         if steps_left > 1:
-            tail, _ = _bellman_value(env, actions, _predict_reduced(merged, env),
+            tail, _ = _bellman_value(env, _predict_reduced(merged, env),
                                      action.target_position, steps_left - 1, discount)
             value += discount * tail
         if value < best_value - 1e-15:
@@ -274,11 +271,10 @@ def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
     ``exhaustive_bellman``.
     """
     sensor_position = np.asarray(sensor_position, dtype=float)
-    actions = _action_table(env)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position,
                     pred=belief,
-                    immediate_cost=0.0, untried=actions(sensor_position))
+                    immediate_cost=0.0, untried=env.actions_from(sensor_position))
     if cfg.rollout == "exhaustive" and \
             cfg.horizon > exhaustive_max_horizon(len(root.untried)):
         raise ValueError("exhaustive horizon too large to enumerate")
@@ -290,30 +286,29 @@ def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
         while not node.untried and node.children:
             node = uct_select(node, cfg.exploration)
         if node.untried:
-            node = _expand(env, actions, node, tree_rng, cfg.horizon)
+            node = _expand(env, node, tree_rng, cfg.horizon)
         delta = -_path_cost(node, cfg.discount)
         if node.depth < cfg.horizon:
             if cfg.rollout == "exhaustive":
-                tail, _ = _bellman_value(env, actions, node.pred, node.sensor_position,
+                tail, _ = _bellman_value(env, node.pred, node.sensor_position,
                                          cfg.horizon - node.depth, cfg.discount)
                 delta -= cfg.discount ** node.depth * tail
             else:
-                delta -= _random_rollout(env, actions, node, cfg.horizon,
-                                         cfg.discount, tree_rng)
+                delta -= _random_rollout(env, node, cfg.horizon, cfg.discount, tree_rng)
         backpropagate(node, delta, backup)
 
     best = max(root.children, key=lambda ch: (ch.mean_reward, -ch.action.id))
     return MctsResult(best.action, best.mean_reward, root)
 
 
-def _expand(env, actions, node, tree_rng, depth_limit):
+def _expand(env, node, tree_rng, depth_limit):
     idx = int(tree_rng.integers(len(node.untried)))
     action = node.untried.pop(idx)
     cost, merged = evaluate_action(env, node.pred, action)
     depth = node.depth + 1
     if depth < depth_limit:
         pred = _predict_reduced(merged, env)
-        untried = actions(action.target_position)
+        untried = env.actions_from(action.target_position)
     else:
         pred, untried = None, []
     child = TreeNode(action=action, parent=node, depth=depth,
@@ -332,12 +327,12 @@ def _path_cost(node: TreeNode, discount: float) -> float:
     return total
 
 
-def _random_rollout(env, actions, node, depth_limit, discount, tree_rng) -> float:
+def _random_rollout(env, node, depth_limit, discount, tree_rng) -> float:
     """Discounted cost of a random action continuation (nodes not kept)."""
     pred, position = node.pred, node.sensor_position
     total = 0.0
     for depth in range(node.depth, depth_limit):
-        choices = actions(position)
+        choices = env.actions_from(position)
         action = choices[int(tree_rng.integers(len(choices)))]
         cost, merged = evaluate_action(env, pred, action)
         total += discount ** depth * cost
@@ -363,22 +358,7 @@ def nearest_sensor_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Act
     return best
 
 
-def kl_bernoulli_gaussian(posterior_r: float, posterior: Gaussian,
-                          predicted_r: float, predicted: Gaussian) -> float:
-    """Divergence between Bernoulli-Gaussian posterior and predicted densities.
-
-    The Gaussians are 2-D. The closed form weights the existence terms by
-    the predicted probability of existence; when either existence
-    probability is degenerate (0 or 1) only the Gaussian term remains.
-    """
-    if len(posterior.mean) != 2 or len(predicted.mean) != 2:
-        raise ValueError("kl_bernoulli_gaussian takes two-dimensional Gaussians")
-    post, pred = (g.cov[[0, 0, 1], [0, 1, 1]].tolist() for g in (posterior, predicted))
-    gauss = _gaussian_kl(post, pred, (posterior.mean - predicted.mean).tolist())
-    return _bernoulli_kl(posterior_r, predicted_r, gauss)
-
-
-def _gaussian_kl(post: tuple, pred: tuple, dm=(0.0, 0.0)) -> float:
+def gaussian_kl(post: tuple, pred: tuple, dm=(0.0, 0.0)) -> float:
     """KL(predicted || posterior) of 2-D Gaussians: (p, c, v) covariances, mean gap dm."""
     (p1, c1, v1), (p0, c0, v0) = post, pred
     det1 = p1 * v1 - c1 * c1
@@ -391,8 +371,11 @@ def _gaussian_kl(post: tuple, pred: tuple, dm=(0.0, 0.0)) -> float:
     return 0.5 * (quad / det1 - 2.0 + math.log(det1 / det0))
 
 
-def _bernoulli_kl(posterior_r: float, predicted_r: float, gauss: float) -> float:
-    """Bernoulli-Gaussian divergence from its Gaussian term ``gauss``."""
+def bernoulli_kl(posterior_r: float, predicted_r: float, gauss: float) -> float:
+    """KL(predicted || posterior) of Bernoulli-Gaussians whose ``gaussian_kl`` is ``gauss``.
+
+    When either existence probability is degenerate (0 or 1) only the Gaussian term remains.
+    """
     eps = 1e-12
     degenerate = (min(posterior_r, predicted_r) < eps
                   or max(posterior_r, predicted_r) > 1.0 - eps)
@@ -418,10 +401,10 @@ def kl_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
         nc = action.noise_class
         if nc not in gauss_detect:
             dx, dy = pseudo_update(belief, noise_variance(nc, env.r_low, env.r_high))
-            gauss_detect[nc] = _gaussian_kl(dx, bx) + _gaussian_kl(dy, by)
+            gauss_detect[nc] = gaussian_kl(dx, bx) + gaussian_kl(dy, by)
         r_miss, p1 = branch_weights(r, pd_bar)
-        score = ((1.0 - p1) * _bernoulli_kl(r_miss, r, 0.0)
-                 + p1 * _bernoulli_kl(1.0, r, gauss_detect[nc]))
+        score = ((1.0 - p1) * bernoulli_kl(r_miss, r, 0.0)
+                 + p1 * bernoulli_kl(1.0, r, gauss_detect[nc]))
         if score > best_score + 1e-15:
             best_score = score
             best = action

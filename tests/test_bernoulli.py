@@ -5,8 +5,8 @@ import pytest
 
 from gosman.bernoulli import (AxisGaussian, BernoulliDensity, Gaussian,
                               empty_density, extract_estimate, make_psd,
-                              ncv_motion_model, optimal_threshold,
-                              position_trace, predict, reduce, update)
+                              ncv_motion_model, predict, reduce, threshold_for_trace,
+                              update)
 
 H2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
@@ -223,22 +223,18 @@ def test_reduce_keeps_best_when_all_pruned():
     assert out.weights == pytest.approx([1.0])
 
 
-def test_position_trace_block():
-    cov = np.diag([1.0, 2.0, 3.0, 4.0])
-    assert position_trace(cov) == pytest.approx(4.0)
-    assert position_trace(np.diag([5.0, 6.0])) == pytest.approx(11.0)
-
-
 def test_optimal_threshold_limits():
     # vanishing uncertainty: report whenever existence is better than even
-    assert optimal_threshold(np.zeros((2, 2)), c=10.0) == pytest.approx(0.5)
+    assert threshold_for_trace(0.0, c=10.0) == pytest.approx(0.5)
     # huge uncertainty: threshold grows to 1
-    assert optimal_threshold(np.diag([1e6, 1e6]), c=10.0) == pytest.approx(1.0)
+    assert threshold_for_trace(2e6, c=10.0) == pytest.approx(1.0)
 
 
 def test_extract_estimate_threshold_behaviour():
-    block = (1.0, 0.0, 0.0)
-    d = _single(0.9, np.array([5.0, 0.0, 6.0, 0.0]), block, block)
+    # the threshold follows the trace of the position variances; the
+    # velocity variances would raise it to 1
+    block = (1.0, 0.0, 1e3)
+    d = _single(threshold_for_trace(2.0, c=10.0), np.array([5.0, 0.0, 6.0, 0.0]), block, block)
     est = extract_estimate(d, c=10.0)
     assert len(est) == 1
     assert est[0] == pytest.approx([5.0, 0.0, 6.0, 0.0])

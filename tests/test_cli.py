@@ -162,6 +162,15 @@ def test_overrides_are_validated(tmp_path, capsys, override, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_parallel_exits_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, small_raw())
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--parallel", "-5"]) == 1
+    assert capsys.readouterr().err == "--parallel: must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing_batch(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")

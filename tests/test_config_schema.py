@@ -113,6 +113,8 @@ BAD_VALUES = [
     (("sensor", "fov"), 45, "config.sensor: unknown keys: ['fov']"),
     (("sensor", "fov_radius"), "45", "config.sensor.fov_radius: expected a number, got '45'"),
     (("sensor", "fov_radius"), 0, "config.sensor.fov_radius: must be >= 1e-09, got 0"),
+    (("sensor", "fov_radius"), 10 ** 400,
+     "config.sensor.fov_radius: must be finite, got 1" + "0" * 400),
     (("sensor", "step_size"), [25], "config.sensor.step_size: expected a number, got [25]"),
     (("sensor", "step_size"), -1, "config.sensor.step_size: must be >= 1e-09, got -1"),
     (("sensor", "num_actions"), 2.5, "config.sensor.num_actions: expected an integer, got 2.5"),

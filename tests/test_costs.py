@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gosman.bernoulli import threshold_for_trace
 from gosman.costs import (branch_weights, merge_hypotheses, msgospa_bound,
                           msgospa_cost_at_threshold, node_cost, pseudo_update)
 
@@ -44,40 +45,35 @@ def test_pseudo_update_zero_pd_keeps_existence():
 
 
 def test_cost_below_threshold():
-    cov = np.diag([10.0, 0.0, 10.0, 0.0])
     c = 20.0
-    assert msgospa_cost_at_threshold(0.5, 0.3, cov, c) == pytest.approx(
+    assert msgospa_cost_at_threshold(0.5, 0.3, 20.0, c) == pytest.approx(
         0.5 * c * c * 0.3)
 
 
 def test_cost_above_threshold():
-    cov = np.diag([10.0, 0.0, 10.0, 0.0])
     c = 20.0
-    got = msgospa_cost_at_threshold(0.5, 0.9, cov, c)
+    got = msgospa_cost_at_threshold(0.5, 0.9, 20.0, c)
     assert got == pytest.approx(0.5 * c * c * 0.1 + 0.9 * 20.0)
 
 
 def test_cost_trace_saturates_at_cutoff():
-    cov = np.diag([1e6, 0.0, 1e6, 0.0])
     c = 20.0
-    got = msgospa_cost_at_threshold(0.0, 1.0, cov, c)
+    got = msgospa_cost_at_threshold(0.0, 1.0, 2e6, c)
     assert got == pytest.approx(c * c)
 
 
 def test_bound_threshold_matches_closed_form():
-    cov = np.diag([30.0, 0.0, 40.0, 0.0])
-    c = 20.0
-    res = msgospa_bound(0.7, cov, c)
-    tr = 70.0
-    assert res.threshold == pytest.approx(1.0 / (2.0 - 2.0 * tr / (c * c)))
+    c, tr = 20.0, 70.0
+    thr = 1.0 / (2.0 - 2.0 * tr / (c * c))
+    assert threshold_for_trace(tr, c) == pytest.approx(thr)
+    assert msgospa_bound(0.7, tr, c) == msgospa_cost_at_threshold(thr, 0.7, tr, c)
 
 
 def test_bound_is_continuous_at_threshold():
-    cov = np.diag([30.0, 0.0, 40.0, 0.0])
-    c = 20.0
-    thr = msgospa_bound(0.5, cov, c).threshold
-    below = msgospa_cost_at_threshold(thr, thr - 1e-9, cov, c)
-    above = msgospa_cost_at_threshold(thr, thr + 1e-9, cov, c)
+    c, tr = 20.0, 70.0
+    thr = threshold_for_trace(tr, c)
+    below = msgospa_cost_at_threshold(thr, thr - 1e-9, tr, c)
+    above = msgospa_cost_at_threshold(thr, thr + 1e-9, tr, c)
     assert below == pytest.approx(above, abs=1e-5)
 
 
@@ -86,8 +82,9 @@ def test_node_cost_mixes_branches():
     detect = pseudo_update(pred, 10.0)
     r_miss, _ = branch_weights(0.6, 0.8)
     c = 20.0
-    miss = msgospa_bound(r_miss, _cov(pred[2], pred[3]), c).cost
-    det = msgospa_bound(1.0, _cov(*detect), c).cost
+    # the bound takes the trace of each branch's position covariance
+    miss = msgospa_bound(r_miss, 40.0 + 30.0, c)
+    det = msgospa_bound(1.0, float(np.trace(_cov(*detect)[::2, ::2])), c)
     expected = (1.0 - 0.48) * miss + 0.48 * det
     assert node_cost(pred, detect, 0.8, c) == pytest.approx(expected)
 

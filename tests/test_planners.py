@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gosman import planners
-from gosman.bernoulli import AxisGaussian, BernoulliDensity, Gaussian, ncv_motion_model
+from gosman.bernoulli import AxisGaussian, BernoulliDensity, ncv_motion_model
 from gosman.costs import merge_hypotheses, node_cost, pseudo_update
-from gosman.planners import (PlannerConfig, PlanningEnv, TreeNode,
-                             backpropagate, evaluate_action, exhaustive_bellman,
-                             kl_bernoulli_gaussian, kl_plan, make_policy,
+from gosman.planners import (ACTION_MEMO_SIZE, PlannerConfig, PlanningEnv, TreeNode,
+                             backpropagate, bernoulli_kl, evaluate_action,
+                             exhaustive_bellman, gaussian_kl, kl_plan, make_policy,
                              mcts_search, myopic_plan, nearest_sensor_plan,
                              planning_belief, uct_select)
-from gosman.sensors import Bounds, ObstacleMap, noise_variance
+from gosman.sensors import Bounds, ObstacleMap, enumerate_actions, noise_variance
 
 
 def _env(num_actions=4):
@@ -68,7 +68,6 @@ def test_exhaustive_bellman_prefers_covering_action():
 
 
 def test_actions_enumerated_once_per_position_per_decision(monkeypatch):
-    from gosman import planners
     seen = []
     real = planners.enumerate_actions
 
@@ -77,19 +76,37 @@ def test_actions_enumerated_once_per_position_per_decision(monkeypatch):
         return real(sensor, *args)
 
     monkeypatch.setattr(planners, "enumerate_actions", counting)
-    env = _env()
     pred = _belief()
     pos = np.array([35.0, 30.0])
     cfg = PlannerConfig(horizon=4, discount=0.7, budget=15)
-    for decide in (lambda: mcts_search(pred, pos, env, cfg, base_key=(3,)),
-                   lambda: exhaustive_bellman(pred, pos, env, 3, 0.7)):
+    for decide in (lambda env: mcts_search(pred, pos, env, cfg, base_key=(3,)),
+                   lambda env: exhaustive_bellman(pred, pos, env, 3, 0.7)):
+        env = _env()
         seen.clear()
-        decide()
+        decide(env)
         first = len(seen)
         assert first > 1 and first == len(set(seen))
-        # nothing is kept from one decision to the next
-        decide()
-        assert len(seen) == 2 * first
+        # the env keeps its actions from one decision to the next
+        decide(env)
+        assert len(seen) == first
+
+
+def test_action_memo_stays_bounded_off_the_lattice():
+    # seven directions: a walk almost never returns to a position it has visited
+    env = _env(num_actions=7)
+    rng = np.random.default_rng(7)
+    pos, visited = np.array([50.0, 50.0]), set()
+    while len(visited) <= ACTION_MEMO_SIZE + 50:
+        visited.add(tuple(pos))
+        actions = env.actions_from(pos)
+        assert len(env._actions) <= ACTION_MEMO_SIZE
+        want = enumerate_actions(env.sensor_at(pos), env.obstacles, env.bounds)
+        assert [(a.id, a.noise_class) for a in actions] == \
+            [(a.id, a.noise_class) for a in want]
+        assert all(np.array_equal(a.target_position, b.target_position)
+                   for a, b in zip(actions, want))
+        pos = actions[int(rng.integers(len(actions)))].target_position
+    assert 0 < len(env._actions) < len(visited)
 
 
 def test_exhaustive_bellman_guard():
@@ -237,29 +254,24 @@ def test_nearest_sensor_moves_towards_mean():
 
 
 def test_kl_zero_for_identical():
-    g = Gaussian(np.zeros(2), np.array([[4.0, 1.0], [1.0, 2.0]]))
-    assert kl_bernoulli_gaussian(0.6, g, 0.6, g) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="two-dimensional"):
-        kl_bernoulli_gaussian(0.6, Gaussian(np.zeros(4), np.eye(4)), 0.6, g)
+    block = (4.0, 1.0, 2.0)
+    assert bernoulli_kl(0.6, 0.6, gaussian_kl(block, block)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_positive_and_grows_with_separation():
-    g0 = Gaussian(np.zeros(2), np.diag([4.0, 1.0]))
-    g1 = Gaussian(np.array([1.0, 0.0]), np.diag([4.0, 1.0]))
-    g2 = Gaussian(np.array([3.0, 0.0]), np.diag([4.0, 1.0]))
-    k1 = kl_bernoulli_gaussian(0.5, g1, 0.5, g0)
-    k2 = kl_bernoulli_gaussian(0.5, g2, 0.5, g0)
+    block = (4.0, 0.0, 1.0)
+    k0, k1, k2 = (bernoulli_kl(0.5, 0.5, gaussian_kl(block, block, (d, 0.0)))
+                  for d in (0.0, 1.0, 3.0))
     assert 0.0 < k1 < k2
     # a shift d along an axis of variance s2 adds d^2 / (2 s2), weighted by r
-    assert k1 - kl_bernoulli_gaussian(0.5, g0, 0.5, g0) == pytest.approx(0.5 * 0.5 / 4.0)
+    assert k1 - k0 == pytest.approx(0.5 * 0.5 / 4.0)
 
 
 def test_kl_degenerate_branch():
-    g0 = Gaussian(np.zeros(2), np.diag([4.0, 1.0]))
-    g1 = Gaussian(np.ones(2), np.diag([2.0, 1.0]))
-    got = kl_bernoulli_gaussian(1.0, g1, 1.0, g0)
+    gauss = gaussian_kl((2.0, 0.0, 1.0), (4.0, 0.0, 1.0), (1.0, 1.0))
+    got = bernoulli_kl(1.0, 1.0, gauss)
     # only the Gaussian term survives when existence is certain
-    full = kl_bernoulli_gaussian(1.0 - 1e-6, g1, 1.0 - 1e-6, g0)
+    full = bernoulli_kl(1.0 - 1e-6, 1.0 - 1e-6, gauss)
     assert got == pytest.approx(full, rel=1e-3)
 
 

@@ -24,9 +24,9 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gosman.bernoulli import (AxisGaussian, BernoulliDensity, ncv_motion_model,
-                              position_trace, predict, reduce, threshold_for_trace)
+                              predict, reduce, threshold_for_trace)
 from gosman.costs import branch_weights, merge_hypotheses, node_cost, pseudo_update
-from gosman.planners import (PlannerConfig, PlanningEnv, _gaussian_kl, _predict_reduced,
+from gosman.planners import (PlannerConfig, PlanningEnv, _predict_reduced, gaussian_kl,
                              kl_plan, mcts_search, myopic_plan,
                              nearest_sensor_plan, planning_belief)
 from gosman.sensors import Bounds, ObstacleMap
@@ -105,7 +105,7 @@ def _ref_predict(mean, cov, motion):
 
 
 def _ref_bound(r, cov, c):
-    tr = position_trace(cov)
+    tr = float(cov[[0, 2], [0, 2]].sum())
     if r <= threshold_for_trace(tr, c):
         return 0.5 * c * c * r
     return 0.5 * c * c * (1.0 - r) + r * min(tr, c * c)
@@ -136,7 +136,7 @@ def test_kernel_matches_4x4_reference(bel, pd_bar, noise, c):
     assert mean_m == tuple(mean)
     assert np.array_equal(_cov(bx_m, by_m), (1.0 - p) * cov + p * P1)
 
-    gauss = _gaussian_kl(detect[0], bx) + _gaussian_kl(detect[1], by)
+    gauss = gaussian_kl(detect[0], bx) + gaussian_kl(detect[1], by)
     want = _ref_gaussian_kl(P1, cov)
     assert abs(gauss - want) <= 1e-12 * max(abs(want), 1.0)
 
