@@ -7,7 +7,7 @@ Subcommands:
   paired random streams and write a combined metrics file.
 * ``validate`` -- check a configuration and echo the resolved document.
 * ``oracle``   -- verify the tree search against the exhaustive planner
-  on small built-in scenarios.
+  on small built-in scenarios, with a budget that expands the whole tree.
 
 Exit codes: 0 success, 1 invalid configuration or command line, 2 runtime
 failure.
@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="check the tree search against exhaustive planning")
     p_orc.add_argument("--seed", type=int, default=0,
                        help="seed of the built-in scenarios")
-    p_orc.add_argument("--budget", type=int, default=200,
-                       help="tree-search node budget for the check")
     p_orc.add_argument("--horizon", type=int, default=3,
                        help="planning horizon for the check")
     return parser
@@ -155,22 +153,27 @@ def oracle_scenarios(seed: int):
         yield i, belief, position, env
 
 
+def _tree_size(env: PlanningEnv, position, horizon: int) -> int:
+    """Nodes below the root of the full search tree ``horizon`` actions deep."""
+    if horizon == 0:
+        return 0
+    return sum(1 + _tree_size(env, a.target_position, horizon - 1)
+               for a in env.actions_from(position))
+
+
 def _cmd_oracle(args) -> int:
     seed = args.seed
     horizon = args.horizon
     if seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
     scenarios = list(oracle_scenarios(seed))
-    # the scenarios share the sensor position and world, so one tree size fits all
-    n_actions = len(scenarios[0][3].actions_from(scenarios[0][2]))
-    max_horizon = exhaustive_max_horizon(n_actions)
+    # the scenarios share the sensor position and world, so one tree fits all
+    _, _, position, env = scenarios[0]
+    max_horizon = exhaustive_max_horizon(len(env.actions_from(position)))
     if not 1 <= horizon <= max_horizon:
         raise ConfigError(f"--horizon: must be between 1 and {max_horizon}, "
                           f"got {horizon}")
-    needed = sum(n_actions ** d for d in range(1, horizon + 1))
-    if args.budget < needed:
-        raise ConfigError(f"--budget: must be >= {needed}, the tree size at "
-                          f"horizon {horizon}, got {args.budget}")
+    budget = _tree_size(env, position, horizon)
     discount = 0.7
     failures = 0
     for i, belief, position, env in scenarios:
@@ -178,10 +181,11 @@ def _cmd_oracle(args) -> int:
         oracle_action, oracle_value = exhaustive_bellman(
             belief, position, env, horizon, discount)
         cfg = PlannerConfig(horizon=horizon, discount=discount, exploration=0.05,
-                            budget=args.budget, rollout="exhaustive")
+                            budget=budget)
         result = mcts_search(belief, position, env, cfg, base_key)
         diff = abs(-result.value - oracle_value)
-        ok = result.action.id == oracle_action.id and diff <= 1e-9
+        ok = (result.root.solved and result.action.id == oracle_action.id
+              and diff <= 1e-9)
         status = "ok" if ok else "FAIL"
         print(f"scenario {i}: {status} action {result.action.id} "
               f"(oracle {oracle_action.id}), value diff {diff:.3e}")

@@ -6,11 +6,13 @@ Four policies are provided:
 * ``gd``   -- myopic minimisation of the one-step MSGOSPA bound.
 * ``kl``   -- myopic maximisation of the expected information gain.
 * ``mcts`` -- non-myopic Monte Carlo tree search over the discounted
-  MSGOSPA bound, guided by the UCT rule.
+  MSGOSPA bound, guided by the UCT rule. Its budget counts added nodes;
+  a subtree expanded to the horizon is solved, holds its exact optimum and
+  is not entered again (MCTS-Solver, Winands, Björnsson & Saito 2008).
 
 An exhaustive finite-horizon Bellman solver over the same merged
-belief dynamics serves as the correctness oracle for the MCTS: with an
-exhausting budget and exhaustive continuation rollouts the tree search
+belief dynamics serves as the correctness oracle for the MCTS: a budget
+that covers the whole tree solves the root, and the tree search then
 recovers the exact optimum.
 
 Planning is a pure function of belief and action: the detection
@@ -88,7 +90,6 @@ class PlannerConfig:
     discount: float = 0.7
     exploration: float = 0.05
     budget: int = 10
-    rollout: str = "random"          # or "exhaustive" (oracle mode)
 
     def __post_init__(self):
         if self.horizon < 1 or self.budget < 1:
@@ -97,9 +98,6 @@ class PlannerConfig:
             raise ValueError(f"discount out of [0, 1]: {self.discount}")
         if self.exploration < 0.0:
             raise ValueError("exploration must be non-negative")
-        if self.rollout not in ("random", "exhaustive"):
-            raise ValueError(
-                f"rollout must be 'random' or 'exhaustive', got {self.rollout!r}")
 
 
 def _belief(r: float, g: AxisGaussian) -> tuple:
@@ -209,7 +207,7 @@ class TreeNode:
 
     __slots__ = ("action", "parent", "children", "untried", "depth",
                  "sensor_position", "pred", "immediate_cost",
-                 "visits", "mean_reward")
+                 "visits", "mean_reward", "solved")
 
     def __init__(self, action, parent, depth, sensor_position, pred,
                  immediate_cost, untried):
@@ -224,12 +222,16 @@ class TreeNode:
         self.immediate_cost = immediate_cost
         self.visits = 0
         self.mean_reward = 0.0
+        # every action sequence below reaches the depth limit: the reward is exact
+        self.solved = False
 
 
 def uct_select(node: TreeNode, exploration: float) -> TreeNode:
-    """UCT child choice; ties broken by lowest action id."""
+    """UCT choice among the unsolved children; ties broken by lowest action id."""
     best, best_score = None, -math.inf
     for child in sorted(node.children, key=lambda ch: ch.action.id):
+        if child.solved:
+            continue
         score = child.mean_reward + 2.0 * exploration * math.sqrt(
             math.log(node.visits) / child.visits)
         if score > best_score + 1e-15:
@@ -238,20 +240,21 @@ def uct_select(node: TreeNode, exploration: float) -> TreeNode:
     return best
 
 
-def backpropagate(leaf: TreeNode, delta: float, rule: str = "mean") -> None:
+def backpropagate(leaf: TreeNode, delta: float) -> None:
     """Fold a simulation reward into every node on the root path.
 
-    The reward update precedes the visit-count increment. ``rule="max"``
-    keeps the best reward instead of the running mean (used by the
-    exhaustive-continuation oracle mode).
+    The reward update precedes the visit-count increment. A node with no
+    untried action whose children are all solved becomes solved and takes
+    its best child's reward: rewards are whole-path returns, so that is
+    the exact optimum below it.
     """
     node = leaf
     while node is not None:
-        if rule == "max":
-            node.mean_reward = delta if node.visits == 0 else max(node.mean_reward, delta)
-        else:
-            node.mean_reward = (node.mean_reward * node.visits + delta) / (node.visits + 1)
+        node.mean_reward = (node.mean_reward * node.visits + delta) / (node.visits + 1)
         node.visits += 1
+        if not node.untried and node.children and all(ch.solved for ch in node.children):
+            node.solved = True
+            node.mean_reward = max(ch.mean_reward for ch in node.children)
         node = node.parent
 
 
@@ -264,38 +267,29 @@ class MctsResult:
 
 def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
                 cfg: PlannerConfig, base_key: tuple = (0,)) -> MctsResult:
-    """Grow a search tree within the node budget and pick the best root child.
+    """Grow a search tree by one node per iteration and pick the best root child.
 
     The tree, and every rollout below it, reaches ``cfg.horizon`` actions deep.
-    Exhaustive continuations carry the same horizon guard as
-    ``exhaustive_bellman``.
+    The search stops before ``cfg.budget`` iterations once the root is solved.
     """
     sensor_position = np.asarray(sensor_position, dtype=float)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position,
                     pred=belief,
                     immediate_cost=0.0, untried=env.actions_from(sensor_position))
-    if cfg.rollout == "exhaustive" and \
-            cfg.horizon > exhaustive_max_horizon(len(root.untried)):
-        raise ValueError("exhaustive horizon too large to enumerate")
     tree_rng = streams.stream(*base_key, streams.PLAN_TREE)
-    backup = "max" if cfg.rollout == "exhaustive" else "mean"
 
     for _ in range(cfg.budget):
+        if root.solved:
+            break
         node = root
-        while not node.untried and node.children:
+        while not node.untried:
             node = uct_select(node, cfg.exploration)
-        if node.untried:
-            node = _expand(env, node, tree_rng, cfg.horizon)
+        node = _expand(env, node, tree_rng, cfg.horizon)
         delta = -_path_cost(node, cfg.discount)
-        if node.depth < cfg.horizon:
-            if cfg.rollout == "exhaustive":
-                tail, _ = _bellman_value(env, node.pred, node.sensor_position,
-                                         cfg.horizon - node.depth, cfg.discount)
-                delta -= cfg.discount ** node.depth * tail
-            else:
-                delta -= _random_rollout(env, node, cfg.horizon, cfg.discount, tree_rng)
-        backpropagate(node, delta, backup)
+        if not node.solved:
+            delta -= _random_rollout(env, node, cfg.horizon, cfg.discount, tree_rng)
+        backpropagate(node, delta)
 
     best = max(root.children, key=lambda ch: (ch.mean_reward, -ch.action.id))
     return MctsResult(best.action, best.mean_reward, root)
@@ -314,6 +308,7 @@ def _expand(env, node, tree_rng, depth_limit):
     child = TreeNode(action=action, parent=node, depth=depth,
                      sensor_position=action.target_position, pred=pred,
                      immediate_cost=cost, untried=untried)
+    child.solved = depth == depth_limit
     node.children.append(child)
     return child
 

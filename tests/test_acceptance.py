@@ -227,8 +227,7 @@ def test_criterion_6_planner_oracle(report):
         budget = sum(n ** d for d in range(1, horizon + 1))
         oracle_action, oracle_value = exhaustive_bellman(
             density, position, env, horizon, 0.7)
-        cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                            rollout="exhaustive")
+        cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget)
         got = mcts_search(density, position, env, cfg, key)
         worst_diff = max(worst_diff, abs(-got.value - oracle_value))
         if got.action.id != oracle_action.id:

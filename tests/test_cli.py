@@ -225,13 +225,8 @@ def test_validate_bad_config_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--seed", "-1"], "--seed: must be >= 0, got -1"),
     (["--horizon", "0"], "--horizon: must be between 1 and 7, got 0"),
-    (["--horizon", "8", "--budget", "10000"],
-     "--horizon: must be between 1 and 7, got 8"),
-    (["--budget", "0"], "--budget: must be >= 39, the tree size at horizon 3, got 0"),
-    (["--budget", "11", "--horizon", "2"],
-     "--budget: must be >= 12, the tree size at horizon 2, got 11"),
-], ids=["negative-seed", "zero-horizon", "horizon-over-guard", "budget-below-tree",
-        "budget-one-short"])
+    (["--horizon", "8"], "--horizon: must be between 1 and 7, got 8"),
+], ids=["negative-seed", "zero-horizon", "horizon-over-guard"])
 def test_oracle_rejects_invalid_flags(capsys, flags, message):
     assert main(["oracle"] + flags) == 1
     captured = capsys.readouterr()
@@ -241,7 +236,7 @@ def test_oracle_rejects_invalid_flags(capsys, flags, message):
 
 REMOVED_KEYS = [
     ("policy", "pd_samples", 3000),        # planning no longer samples its PD
-    ("policy", "rollout", "exhaustive"),   # oracle mode, for the exhaustive check only
+    ("policy", "rollout", "exhaustive"),   # the tree search has one rollout
     ("policy", "rollout_depth", 10),       # the tree depth is the horizon
     ("gospa", "trace_block", "full"),      # the cost traces positions only
     ("sensor", "noise_classes", ["low", "high"]),  # the class follows the action id
@@ -283,9 +278,17 @@ def test_rejected_command_line_exits_1_and_help_0(tmp_path, capsys):
 
 
 def test_oracle_small_horizon_passes(capsys):
-    assert main(["oracle", "--budget", "15", "--horizon", "2"]) == 0
+    assert main(["oracle", "--horizon", "2"]) == 0
     out = capsys.readouterr().out
     assert "all checked scenarios agree" in out
+
+
+def test_oracle_has_no_budget_flag(capsys):
+    # the check expands the whole tree, so it sizes the budget itself
+    assert main(["oracle", "--budget", "200"]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --budget 200" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("parallel", ["0", "2"])

@@ -1,10 +1,15 @@
 """Unit tests for the planning policies and the tree search."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gosman import planners
-from gosman.bernoulli import AxisGaussian, BernoulliDensity, ncv_motion_model
+from gosman.bernoulli import (AxisGaussian, BernoulliDensity, empty_density,
+                              ncv_motion_model, predict, reduce)
+from gosman.cli import _tree_size, oracle_scenarios
+from gosman.config import load_config
 from gosman.costs import merge_hypotheses, node_cost, pseudo_update
 from gosman.planners import (ACTION_MEMO_SIZE, PlannerConfig, PlanningEnv, TreeNode,
                              backpropagate, bernoulli_kl, evaluate_action,
@@ -116,17 +121,6 @@ def test_exhaustive_bellman_guard():
                            horizon=12, discount=0.7)
 
 
-@pytest.mark.parametrize("horizon", [6, 10])
-def test_mcts_exhaustive_rollout_guard(monkeypatch, horizon):
-    # six actions allow an exhaustive horizon of 5; the search refuses a
-    # longer one before it evaluates a single action
-    env = _env(num_actions=6)
-    monkeypatch.setattr(planners, "evaluate_action", None)
-    cfg = PlannerConfig(horizon=horizon, rollout="exhaustive")
-    with pytest.raises(ValueError, match="too large to enumerate"):
-        mcts_search(_belief(), np.array([50.0, 50.0]), env, cfg)
-
-
 def test_myopic_is_horizon_one_bellman():
     env = _env()
     pred = _belief()
@@ -144,8 +138,7 @@ def test_mcts_matches_oracle_with_exhausting_budget():
     oracle_action, oracle_value = exhaustive_bellman(pred, pos, env, horizon, 0.7)
     n = len(env.actions_from(pos))
     budget = sum(n ** d for d in range(1, horizon + 1))
-    cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                        rollout="exhaustive")
+    cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget)
     result = mcts_search(pred, pos, env, cfg, base_key=(11,))
     assert result.action.id == oracle_action.id
     assert -result.value == pytest.approx(oracle_value, abs=1e-9)
@@ -162,8 +155,7 @@ def test_mcts_matches_oracle_on_a_nonzero_optimum():
     assert oracle_action.id == 3
     n = len(env.actions_from(pos))
     budget = sum(n ** d for d in range(1, horizon + 1))
-    cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget,
-                        rollout="exhaustive")
+    cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget)
     for key in ((17,), (18,), (19,)):
         result = mcts_search(pred, pos, env, cfg, base_key=key)
         assert result.action.id == oracle_action.id
@@ -191,17 +183,58 @@ def test_mcts_deterministic_for_fixed_key():
     assert r1.value == r2.value
 
 
+def _count(node):
+    return 1 + sum(_count(ch) for ch in node.children)
+
+
 def test_mcts_budget_counts_expansions():
     env = _env()
     pred = _belief()
     cfg = PlannerConfig(horizon=4, discount=0.7, budget=7)
     result = mcts_search(pred, np.array([35.0, 30.0]), env, cfg, base_key=(3,))
-
-    def count(node):
-        return 1 + sum(count(ch) for ch in node.children)
-
-    assert count(result.root) == 1 + 7
+    assert _count(result.root) == 1 + 7
     assert result.root.visits == 7
+
+
+def _solved_nodes(node):
+    return int(node.solved) + sum(_solved_nodes(ch) for ch in node.children)
+
+
+@pytest.mark.parametrize("budget", [50, 150])
+def test_mcts_budget_counts_nodes_on_the_obstacle_scenario(budget):
+    # at budget 150 the search reaches the depth limit; selection skips the
+    # solved subtrees there, so every iteration still adds a node
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "obstacle.json")
+    env = cfg.planning_env()
+    mcts = next(p for p in cfg.policies if p.name == "mcts")
+    assert mcts.params["horizon"] == 10
+    pos = np.asarray(cfg.initial_position, dtype=float)
+    birth = planning_belief(reduce(predict(empty_density(), env.motion), max_components=1))
+    localised = (0.9, (pos[0] + 5.0, 1.0, pos[1], 0.0), (4.0, 0.0, 1.0), (4.0, 0.0, 1.0))
+    search = PlannerConfig(**{**mcts.params, "budget": budget})
+    solved = 0
+    for belief in (birth, localised):
+        for key in ((0,), (1, 2, 3)):
+            root = mcts_search(belief, pos, env, search, key).root
+            assert _count(root) == budget + 1
+            assert root.visits == budget and not root.solved
+            solved += _solved_nodes(root)
+    if budget == 150:
+        assert solved > 0   # the search did reach the depth limit
+
+
+def test_mcts_stops_once_the_root_is_solved():
+    horizon = 3
+    for i, belief, pos, env in list(oracle_scenarios(5))[:3]:
+        size = _tree_size(env, pos, horizon)
+        assert size == 48
+        cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=20 * size)
+        result = mcts_search(belief, pos, env, cfg, base_key=(31, i))
+        assert result.root.solved
+        assert result.root.visits == size and _count(result.root) == size + 1
+        _, oracle_value = exhaustive_bellman(belief, pos, env, horizon, 0.7)
+        assert -result.value == pytest.approx(oracle_value, abs=1e-9)
+        assert result.root.mean_reward == result.value
 
 
 def test_planner_config_validation():
@@ -211,8 +244,6 @@ def test_planner_config_validation():
         PlannerConfig(discount=1.5)
     with pytest.raises(ValueError):
         PlannerConfig(exploration=-0.1)
-    with pytest.raises(ValueError, match="rollout"):
-        PlannerConfig(rollout="exhastive")
 
 
 def test_backpropagate_rules():
@@ -223,22 +254,45 @@ def test_backpropagate_rules():
     backpropagate(child, -4.0)
     assert child.mean_reward == pytest.approx(-3.0)
     assert child.visits == 2 and root.visits == 2
+    assert not root.solved and not child.solved
 
-    other = TreeNode(None, None, 1, np.zeros(2), None, 1.0, [])
-    backpropagate(other, -5.0, rule="max")
-    backpropagate(other, -1.0, rule="max")
-    backpropagate(other, -9.0, rule="max")
-    assert other.mean_reward == pytest.approx(-1.0)
+
+def _hand_tree(rewards, solved):
+    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, [])
+    for i, (reward, done) in enumerate(zip(rewards, solved)):
+        ch = TreeNode(type("A", (), {"id": i})(), root, 1, np.zeros(2), None, 0.0, [])
+        ch.mean_reward, ch.visits, ch.solved = reward, 1, done
+        root.children.append(ch)
+    root.visits = len(rewards)
+    return root
+
+
+def test_node_with_all_children_solved_takes_the_best_reward():
+    root = _hand_tree([-3.0, -1.0, -2.0], [True, True, False])
+    backpropagate(root.children[0], -3.0)
+    assert not root.solved   # one child is still open
+    root.children[2].solved = True
+    backpropagate(root.children[2], -2.0)
+    assert root.solved and root.mean_reward == -1.0
+    # an untried action keeps the node open however its children stand
+    root = _hand_tree([-3.0, -1.0], [True, True])
+    root.untried = ["an untried action"]
+    backpropagate(root.children[0], -3.0)
+    assert not root.solved
+
+
+def test_uct_skips_a_solved_child():
+    # the solved child has the better mean and the fewer visits
+    root = _hand_tree([-1.0, -5.0], [True, False])
+    root.children[1].visits = 5
+    root.visits = 6
+    for exploration in (0.0, 1.0):
+        assert uct_select(root, exploration).action.id == 1
 
 
 def test_uct_prefers_unvisited_balance():
-    root = TreeNode(None, None, 0, np.zeros(2), None, 0.0, [])
-    for i, (reward, visits) in enumerate([(-1.0, 10), (-1.0, 1)]):
-        ch = TreeNode(type("A", (), {"id": i})(), root, 1, np.zeros(2), None,
-                      0.0, [])
-        ch.mean_reward = reward
-        ch.visits = visits
-        root.children.append(ch)
+    root = _hand_tree([-1.0, -1.0], [False, False])
+    root.children[0].visits = 10
     root.visits = 11
     # equal means: the exploration term favours the rarely visited child
     assert uct_select(root, exploration=1.0).action.id == 1
