@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from gosman.bernoulli import Gaussian, threshold_for_trace
-from gosman.cli import oracle_scenarios
+from gosman.cli import _tree_size, oracle_scenarios
 from gosman.config import load_config, parse_config
 from gosman.costs import msgospa_bound, msgospa_cost_at_threshold
 from gosman.gospa import gospa
@@ -220,11 +220,11 @@ def test_criterion_6_planner_oracle(report):
     worst_diff = 0.0
     mismatches = 0
     myopic_mismatches = 0
+    unsolved = 0
     for i, density, position, env in oracle_scenarios(0):
         key = (606, i, 0)
-        n = len(env.actions_from(position))
-        assert n == 3
-        budget = sum(n ** d for d in range(1, horizon + 1))
+        # a budget of the full tree's node count solves the root exactly
+        budget = _tree_size(env, position, horizon)
         oracle_action, oracle_value = exhaustive_bellman(
             density, position, env, horizon, 0.7)
         cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget)
@@ -234,12 +234,15 @@ def test_criterion_6_planner_oracle(report):
             mismatches += 1
 
         zero = PlannerConfig(horizon=horizon, discount=0.0, budget=budget)
-        if mcts_search(density, position, env, zero, key).action.id != \
-                myopic_plan(density, position, env).id:
+        myopic = mcts_search(density, position, env, zero, key)
+        if myopic.action.id != myopic_plan(density, position, env).id:
             myopic_mismatches += 1
-    ok = mismatches == 0 and worst_diff <= 1e-9 and myopic_mismatches == 0
-    report(6, ok, f"10 scenarios, value diff {worst_diff:.2e}, "
-                  f"{mismatches} action / {myopic_mismatches} myopic mismatches")
+        unsolved += (not got.root.solved) + (not myopic.root.solved)
+    ok = (mismatches == 0 and worst_diff <= 1e-9 and myopic_mismatches == 0
+          and unsolved == 0)
+    report(6, ok, f"10 scenarios at budget {budget}, value diff {worst_diff:.2e}, "
+                  f"{mismatches} action / {myopic_mismatches} myopic mismatches, "
+                  f"{unsolved} roots unsolved")
 
 
 # ---------------------------------------------------------------------------

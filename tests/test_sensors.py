@@ -4,9 +4,11 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ncx2
 
-from gosman.bernoulli import Gaussian
+from gosman import streams
+from gosman.bernoulli import AxisGaussian, Gaussian
 from gosman.sensors import (Action, Bounds, HIGH_NOISE, LOW_NOISE, ObstacleMap,
                             SensorState, detection_probability,
                             enumerate_actions, expected_pd, gaussian_disc_pd,
@@ -168,6 +170,56 @@ def test_expected_pd_clamped_to_p_detect():
     assert expected_pd(tight, s, 50, rng) <= 0.9
     with pytest.raises(ValueError):
         expected_pd(tight, s, 0, rng)
+
+
+# (stream key, predicted density, result as float.hex) of the filter PD at
+# 1000 samples, sensor at (50, 50) with R = 10 and p_D = 0.9
+PINNED_PD = (
+    # per-axis density near the FOV edge
+    ((7, 0, 3), AxisGaussian(np.array([59.5, 1.0, 51.0, -0.5]), (4.0, 0.5, 1.0),
+                             (2.25, 0.2, 1.0)), "0x1.8f1a6b9d9bdf9p-2"),
+    # correlated 2-D density shaped like criterion 4's
+    ((7, 1, 12), Gaussian(np.array([57.0, 55.5]), np.array([[36.0, 19.2], [19.2, 64.0]])),
+     "0x1.84d5af3bef9abp-2"),
+    # far away: a tiny mass that is not zero
+    ((7, 2, 199), Gaussian(np.array([95.0, 50.0, 48.0, 0.0]), np.diag([25.0, 1.0, 25.0, 1.0])),
+     "0x1.2268baa44bf9bp-41"),
+)
+
+
+@pytest.mark.parametrize("key, g, want", PINNED_PD)
+def test_expected_pd_pinned_bits_and_draws(key, g, want):
+    s = _sensor(position=(50.0, 50.0), fov=10.0, pd=0.9)
+    rng = streams.stream(*key, streams.FILTER_PD)
+    assert expected_pd(g, s, 1000, rng).hex() == want
+    # it draws exactly 2n uniforms: paired seeds rely on the next draw
+    fresh = streams.stream(*key, streams.FILTER_PD)
+    assert rng.random() == fresh.random(2 * 1000 + 1)[-1]
+
+
+_variances = st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_variances, _variances, st.one_of(st.none(), st.floats(-0.89, 0.89)),
+       st.sampled_from([0.0, 0.9, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 1.5, 100.0]),
+       st.floats(0.0, 2.0 * np.pi), st.integers(1, 300), st.integers(0, 2 ** 32))
+def test_expected_pd_range_at_the_extremes(vx, vy, rho, pd, dist, angle, n, seed):
+    """Finite and in [0, p_D] from tiny to huge variances, inside, on and off the FOV."""
+    s = _sensor(position=(50.0, 50.0), fov=10.0, pd=pd)
+    mx, my = 50.0 + 10.0 * dist * np.cos(angle), 50.0 + 10.0 * dist * np.sin(angle)
+    if rho is None:
+        g = AxisGaussian(np.array([mx, 0.0, my, 0.0]), (vx, 0.0, 1.0), (vy, 0.0, 1.0))
+    else:
+        c = rho * np.sqrt(vx * vy)
+        g = Gaussian(np.array([mx, my]), np.array([[vx, c], [c, vy]]))
+    got = expected_pd(g, s, n, np.random.default_rng(seed))
+    assert np.isfinite(got) and 0.0 <= got <= pd
+    if pd == 0.0:
+        assert got == 0.0
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            expected_pd(g, s, bad, np.random.default_rng(seed))
 
 
 def test_gaussian_disc_pd_matches_noncentral_chi2():
