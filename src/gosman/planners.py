@@ -16,10 +16,14 @@ that covers the whole tree solves the root, and the tree search then
 recovers the exact optimum.
 
 Planning is a pure function of belief and action: the detection
-probability of each action comes from a deterministic rule
-(``sensors.gaussian_disc_pd``), so every planner that evaluates the same
-action from the same belief sees the same number. Only the tree search
-draws random numbers, from its own stream.
+probability of each action comes from ``sensors.gaussian_disc_pd``, which
+is deterministic, so every planner that evaluates the same action from the
+same belief sees the same number. For an isotropic belief, which is every
+belief of the shipped configs, it is exact (a Poisson series, within about
+1e-13); for an anisotropic one, or one too thin for the series' cost cap,
+it is the 1024-ray rule (error at most about p_D / 1024). The filter keeps
+its importance-sampling estimate. Only the tree search draws random
+numbers, from its own stream.
 
 The closed loop hands every planner the predicted belief as a plain
 ``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and

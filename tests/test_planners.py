@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gosman import planners
+from gosman import planners, sensors
 from gosman.bernoulli import (AxisGaussian, BernoulliDensity, empty_density,
                               ncv_motion_model, predict, reduce)
 from gosman.cli import _tree_size, oracle_scenarios
@@ -160,6 +160,29 @@ def test_mcts_matches_oracle_on_a_nonzero_optimum():
         result = mcts_search(pred, pos, env, cfg, base_key=key)
         assert result.action.id == oracle_action.id
         assert -result.value == pytest.approx(oracle_value, abs=1e-9)
+
+
+def test_mcts_matches_oracle_on_isotropic_beliefs(monkeypatch):
+    # the oracle scenarios with by = bx, so every planning PD takes the exact
+    # series (criterion 6 draws unequal variances, which take the ray rule)
+    counts = {"series": 0, "ray": 0}
+    for name, key in (("_disc_mass_series", "series"), ("_ray_pd", "ray")):
+        def counted(*args, _f=getattr(sensors, name), _key=key):
+            counts[_key] += 1
+            return _f(*args)
+        monkeypatch.setattr(sensors, name, counted)
+    horizon = 3
+    for i, belief, pos, env in oracle_scenarios(0):
+        r, mean, bx, _ = belief
+        iso = (r, mean, bx, bx)
+        budget = _tree_size(env, pos, horizon)
+        oracle_action, oracle_value = exhaustive_bellman(iso, pos, env, horizon, 0.7)
+        cfg = PlannerConfig(horizon=horizon, discount=0.7, budget=budget)
+        result = mcts_search(iso, pos, env, cfg, base_key=(19, i))
+        assert result.root.solved
+        assert result.action.id == oracle_action.id
+        assert abs(-result.value - oracle_value) <= 1e-9
+    assert counts["series"] > 0 and counts["ray"] == 0
 
 
 def test_mcts_zero_discount_matches_myopic():

@@ -9,8 +9,8 @@ from scipy.stats import ncx2
 
 from gosman import streams
 from gosman.bernoulli import AxisGaussian, Gaussian
-from gosman.sensors import (Action, Bounds, HIGH_NOISE, LOW_NOISE, ObstacleMap,
-                            SensorState, detection_probability,
+from gosman.sensors import (SERIES_CAP, Action, Bounds, HIGH_NOISE, LOW_NOISE,
+                            ObstacleMap, SensorState, _ray_pd, detection_probability,
                             enumerate_actions, expected_pd, gaussian_disc_pd,
                             generate_measurements)
 
@@ -222,22 +222,72 @@ def test_expected_pd_range_at_the_extremes(vx, vy, rho, pd, dist, angle, n, seed
             expected_pd(g, s, bad, np.random.default_rng(seed))
 
 
+def _takes_series(dist, sigma, R):
+    """Whether an isotropic PD is exact: the 9-sigma shortcut or the series below the cap."""
+    return abs(dist - R) > 9.0 * sigma or (R * R + dist * dist) / sigma ** 2 <= SERIES_CAP
+
+
+def _cap_placement(R, g, total):
+    """(sigma, dist) with the centre g sigma outside the FOV edge and x + lambda = total."""
+    r = (-g + np.sqrt(2.0 * total - g * g)) / 2.0   # sqrt(x), from x + (sqrt(x) + g)^2
+    return R / r, R + g * R / r
+
+
 def test_gaussian_disc_pd_matches_noncentral_chi2():
-    # isotropic: the mass of the disc is a noncentral chi-square cdf
+    # isotropic: the mass of the disc is a noncentral chi-square cdf; the
+    # series and the 9-sigma shortcut are exact, the ray fallback above the
+    # cap keeps the ray rule's bound
     R = 10.0
     s = _sensor(position=(50.0, -20.0), fov=R, pd=0.9)
-    worst = 0.0
+    placements = []
     for sigma in R * np.logspace(-3, 2, 16):
         offsets = np.concatenate([np.linspace(0.0, 4.0 * R, 17),
-                                  R + sigma * np.array([-2.0, -0.5, 0.0, 0.5, 2.0])])
+                                  R + sigma * np.array([-9.0, -2.0, -0.5, 0.0, 0.5, 2.0, 9.0])])
+        placements += [(sigma, dist) for dist in offsets]
+    # x + lambda just below and just above the cap, inside, on and outside the edge
+    for g in (-9.0, -3.0, 0.0, 3.0, 9.0):
+        for total in SERIES_CAP * np.array([0.999, 1.0, 1.001, 1.5]):
+            placements.append(_cap_placement(R, g, total))
+    worst = {True: 0.0, False: 0.0}
+    for sigma, dist in placements:
         # angles across one ray spacing, so edges fall on and between rays
         for angle in np.linspace(0.0, 2.0 * np.pi / 1024, 5) + 0.3:
-            for dist in offsets:
-                mean = s.position + dist * np.array([np.cos(angle), np.sin(angle)])
-                got = _disc_pd(Gaussian(mean, sigma ** 2 * np.eye(2)), s)
-                want = 0.9 * ncx2.cdf((R / sigma) ** 2, 2, (dist / sigma) ** 2)
-                worst = max(worst, abs(got - want))
-    assert worst <= 2e-3
+            mean = s.position + dist * np.array([np.cos(angle), np.sin(angle)])
+            got = _disc_pd(Gaussian(mean, sigma ** 2 * np.eye(2)), s)
+            want = 0.9 * ncx2.cdf((R / sigma) ** 2, 2, (dist / sigma) ** 2)
+            exact = _takes_series(dist, sigma, R)
+            worst[exact] = max(worst[exact], abs(got - want))
+    assert sum(_takes_series(d, sg, R) for sg, d in placements) > 200
+    assert sum(not _takes_series(d, sg, R) for sg, d in placements) > 20
+    assert worst[True] <= 1e-12
+    assert worst[False] <= 2e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e), st.sampled_from([0.0, 0.5, 1.0]),
+       st.floats(-12.0, 12.0), st.floats(0.0, 3.0), st.floats(-9.0, 9.0),
+       st.floats(0.0, 2.0 * np.pi))
+def test_isotropic_disc_pd_properties(ratio, pd, g, dist_r, g_cap, angle):
+    """In [0, p_D], not increasing with |d| (Anderson's theorem), continuous at the cap."""
+    R = 10.0
+    sigma = ratio * R
+    s = _sensor(position=(5.0, 5.0), fov=R, pd=pd)
+    unit = np.array([np.cos(angle), np.sin(angle)])
+    # distances in sigma units about the edge, and in FOV radii
+    dists = sorted(abs(d) for d in (R + g * sigma, R + (g + 0.5) * sigma, dist_r * R,
+                                    dist_r * R + sigma, 0.0))
+    pds = gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2,
+                           s.position + np.outer(dists, unit), R, pd)
+    assert np.all((0.0 <= pds) & (pds <= pd))
+    for (d1, p1), (d2, p2) in zip(zip(dists, pds), zip(dists[1:], pds[1:])):
+        exact = _takes_series(d1, sigma, R) and _takes_series(d2, sigma, R)
+        assert p2 <= p1 + (1e-12 if exact else pd / 1024)
+    # just below the cap the series runs; the ray rule agrees within its bound
+    sigma, dist = _cap_placement(R, g_cap, SERIES_CAP * (1.0 - 1e-9))
+    centre = (s.position + dist * unit)[None]
+    series = gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2, centre, R, pd)
+    ray = _ray_pd(5.0, 5.0, sigma ** 2, sigma ** 2, centre, R, pd)
+    assert abs(series[0] - ray[0]) <= pd / 1024
 
 
 def test_gaussian_disc_pd_matches_monte_carlo():
@@ -264,7 +314,8 @@ def test_gaussian_disc_pd_matches_monte_carlo():
 def test_gaussian_disc_pd_range_and_purity():
     assert "rng" not in inspect.signature(gaussian_disc_pd).parameters
     covs = [np.diag([1e-12, 1e-12]), np.diag([1e8, 1e8]), np.diag([1e-6, 1e6]),
-            np.diag([0.0, 4.0]), np.diag([4.0, 0.0])]
+            np.diag([0.0, 4.0]), np.diag([4.0, 0.0]), np.diag([0.0, 0.0]),
+            np.diag([5e-324, 5e-324])]
     means = [np.zeros(2), np.array([10.0, 0.0]), np.array([7.0, -7.0]),
              np.array([1e4, 0.0])]
     for pd in (0.0, 0.4, 1.0):
@@ -279,6 +330,12 @@ def test_gaussian_disc_pd_range_and_purity():
     assert _disc_pd(Gaussian(np.zeros(2), np.diag([1e-8, 1e-8])), s) == \
         pytest.approx(0.9, abs=1e-12)
     assert _disc_pd(Gaussian(np.array([1e4, 0.0]), np.eye(2)), s) == 0.0
+    # an isotropic point mass: p_D inside the disc, boundary included, 0 outside
+    for var in (0.0, 5e-324):
+        cov = np.diag([var, var])
+        for mean, want in (([0.0, 0.0], 0.9), ([10.0, 0.0], 0.9), ([6.0, -8.0], 0.9),
+                           ([10.0 + 1e-12, 0.0], 0.0), ([7.0, 7.5], 0.0)):
+            assert _disc_pd(Gaussian(np.array(mean), cov), s) == want
 
 
 def test_gaussian_disc_pd_batch_matches_single_centre():
