@@ -9,7 +9,11 @@ values so they can be shared freely between Monte Carlo workers.
 No covariance couples x and y, so a component is an ``AxisGaussian``
 and prediction and update are scalar arithmetic on each axis's block,
 in two kernels that the planners share (``predict_axes``,
-``kalman_block``).
+``kalman_block``). No step factorises a matrix: the update's likelihood
+uses the diagonal innovation covariance's square roots, and gives the
+Cholesky form's values bit for bit (``tests/test_filter_properties.py``
+checks it against that form). ``make_psd`` and ``Gaussian`` serve the
+motion model's one-off checks and the correlated densities of tests.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,8 @@ import numpy as np
 from .gospa import POSITION_INDICES
 
 _SYM_TOL = 1e-9
+# the dimension times log(2 pi) in a 2-D Gaussian's normaliser
+_TWO_LOG_2PI = 2 * np.log(2.0 * np.pi)
 
 
 def make_psd(cov: np.ndarray) -> np.ndarray:
@@ -191,13 +197,29 @@ def predict(prior: BernoulliDensity, model: MotionModel) -> BernoulliDensity:
     return BernoulliDensity(min(r_pred, 1.0), np.array(weights), comps)
 
 
-def _gaussian_pdf(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = z - mean
-    L = np.linalg.cholesky(cov)
-    y = np.linalg.solve(L, d)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    k = len(z)
-    return float(np.exp(-0.5 * (y @ y) - 0.5 * (logdet + k * np.log(2.0 * np.pi))))
+def _likelihoods(components: Sequence[AxisGaussian], Z: Sequence[np.ndarray],
+                 noise: float) -> list:
+    """Per measurement, each component's innovation (dx, dy) and N(z; zhat, S).
+
+    S = diag(sx^2, sy^2) adds ``noise`` to the position variances, so its
+    Cholesky factor is diag(sx, sy). The values are the Cholesky form's bit
+    for bit: its one 2-element dot product (BLAS fuses a multiply-add
+    there), and numpy's ``log`` and ``exp``, whose SIMD results differ from
+    ``math``'s.
+    """
+    i, j = POSITION_INDICES
+    means = [g.mean.tolist() for g in components]
+    sds = np.sqrt([[g.bx[0] + noise, g.by[0] + noise] for g in components])
+    # log det(2 pi S) / 2 of each component
+    halves = (0.5 * (2.0 * np.log(sds).sum(axis=1) + _TWO_LOG_2PI)).tolist()
+    out = []
+    for z in Z:
+        zx, zy = z.tolist()
+        offsets = [(zx - m[i], zy - m[j]) for m in means]
+        pdfs = [float(np.exp(-0.5 * (y @ y) - half))
+                for y, half in zip(np.divide(offsets, sds), halves)]
+        out.append((offsets, pdfs))
+    return out
 
 
 def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], noise: float,
@@ -209,6 +231,8 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], noise: float,
     density lambda_c(z) (expected clutter per unit area). With zero
     clutter the model admits at most one measurement, and a detection of
     it makes r = 1; otherwise r' = r (1 - delta) / (1 - r delta).
+
+    The likelihoods come from ``_likelihoods``, without a factorisation.
     """
     if not 0.0 <= pd_bar <= 1.0:
         raise ValueError(f"pd_bar out of [0, 1]: {pd_bar}")
@@ -218,22 +242,17 @@ def update(pred: BernoulliDensity, Z: Sequence[np.ndarray], noise: float,
     if pred.r == 0.0 or len(pred.components) == 0:
         return pred
 
-    zhats = [g.mean[list(POSITION_INDICES)] for g in pred.components]
-    # the innovation covariance S is diagonal, and positive definite
-    Ss = [np.diag([g.bx[0] + noise, g.by[0] + noise]) for g in pred.components]
     miss = [(w * (1.0 - pd_bar), g) for w, g in zip(pred.weights, pred.components)]
     detect = []
     like_total = 0.0
-    for z in Z:
-        like = [w * _gaussian_pdf(z, zh, S) for w, zh, S in zip(pred.weights, zhats, Ss)]
+    for offsets, pdfs in _likelihoods(pred.components, Z, noise):
+        like = [w * pdf for w, pdf in zip(pred.weights, pdfs)]
         like_total += sum(like)
-        for i, w_l in enumerate(like):
+        for g, (dx, dy), w_l in zip(pred.components, offsets, like):
             if pd_bar == 0.0 or w_l <= 0.0:
                 continue
-            g = pred.components[i]
             (kx, kvx), bx = kalman_block(g.bx, noise)
             (ky, kvy), by = kalman_block(g.by, noise)
-            dx, dy = (z - zhats[i]).tolist()
             px, vx, py, vy = g.mean.tolist()
             mean = np.array([px + kx * dx, vx + kvx * dx, py + ky * dy, vy + kvy * dy])
             # likelihood ratio against clutter; without clutter normalised below

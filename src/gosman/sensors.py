@@ -125,8 +125,8 @@ def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
 def detection_probability(x, sensor: SensorState) -> float:
     """p_detect inside the FOV disc (boundary inclusive), zero outside."""
     x = np.asarray(x, dtype=float)
-    pos = x if len(x) == 2 else x[list(POSITION_INDICES)]
-    if np.linalg.norm(pos - sensor.position) <= sensor.fov_radius:
+    d = (x if len(x) == 2 else x[list(POSITION_INDICES)]) - sensor.position
+    if math.sqrt(d.dot(d)) <= sensor.fov_radius:   # np.linalg.norm(d), bit for bit
         return sensor.p_detect
     return 0.0
 
@@ -148,25 +148,38 @@ def expected_pd(pred: Gaussian, sensor: SensorState, num_samples: int,
     samples in it, clamped to [0, p_detect]; the error decays as O(n^-1/2). The
     clamp biases it low for a well-localised target: at a position sigma of 3.5
     and the mean 10 from the FOV centre, 300 estimates of 1000 samples averaged
-    0.827 for a true 0.900. Values and draws match the einsum/det form bit for bit.
+    0.827 for a true 0.900. Values and draws match the einsum/det form bit for bit:
+    a per-axis density takes the inverse and determinant of its diagonal block
+    as scalars, 1 / p and the exp of log p + log P as LAPACK's ``det`` computes
+    it; a correlated ``Gaussian`` still calls ``np.linalg``.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     i, j = POSITION_INDICES if len(pred.mean) > 2 else (0, 1)
-    block = (np.array([[pred.bx[0], 0.0], [0.0, pred.by[0]]]) if isinstance(pred, AxisGaussian)
-             else pred.cov[[[i], [j]], [i, j]])
-    inv = np.linalg.inv(block)
+    if isinstance(pred, AxisGaussian):
+        # the diagonal block's inverse, and its determinant as LAPACK's det
+        # computes it, the exp of the log-determinant
+        p, P = pred.bx[0], pred.by[0]
+        inv, inv_block = np.array([1.0 / p, 1.0 / P]), None
+        try:
+            det = math.exp(math.log(p) + math.log(P))
+        except OverflowError:   # where det returns inf
+            det = math.inf
+    else:
+        block = pred.cov[[[i], [j]], [i, j]]
+        inv_block = np.linalg.inv(block)
+        inv, det = inv_block.diagonal(), np.linalg.det(block)
     d = _uniform_disc(sensor.position, sensor.fov_radius, num_samples, rng)
     d -= np.array([[pred.mean[i]], [pred.mean[j]]])
     # quad = d' inv d in the einsum form's order of sums, which depends on the
     # (n, 2) layout; without cross terms those sums are (dx i00) dx + (dy i11) dy
-    if inv[0, 1] or inv[1, 0]:
-        quad = np.einsum("ni,ij,nj->n", d.T.copy(), inv, d.T.copy())
+    if inv_block is not None and (inv_block[0, 1] or inv_block[1, 0]):
+        quad = np.einsum("ni,ij,nj->n", d.T.copy(), inv_block, d.T.copy())
     else:
-        quad, sq_y = d * inv.diagonal()[:, None] * d
+        quad, sq_y = d * inv[:, None] * d
         quad += sq_y
     quad *= -0.5
-    dens = np.exp(quad, out=quad) * (1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(block))))
+    dens = np.exp(quad, out=quad) * (1.0 / (2.0 * np.pi * np.sqrt(det)))
     mean = np.add.reduce(dens) / num_samples   # dens.mean() without its dispatch
     est = sensor.p_detect * (np.pi * sensor.fov_radius ** 2) * float(mean)
     return min(max(est, 0.0), sensor.p_detect)
@@ -303,12 +316,16 @@ def noise_variance(noise_class: str, r_low: float, r_high: float) -> float:
 
 def generate_measurements(truth, sensor: SensorState, noise: float,
                           clutter_rate: float, rng: np.random.Generator) -> list:
-    """Detections (within FOV, ``noise`` variance per axis) plus uniform clutter."""
+    """Detections (within FOV, ``noise`` variance per axis) plus uniform clutter.
+
+    A detection's noise is ``sqrt(noise)`` times two standard normals: the
+    values and draws of ``multivariate_normal(0, noise I)``, without its SVD.
+    """
     measurements = []
     for x in truth:
         pd = detection_probability(x, sensor)
         if pd > 0.0 and rng.random() < pd:
-            draw = rng.multivariate_normal(np.zeros(2), noise * np.eye(2))
+            draw = rng.standard_normal(2) * math.sqrt(noise)
             measurements.append(np.asarray(x, dtype=float)[list(POSITION_INDICES)] + draw)
     n_clutter = rng.poisson(clutter_rate)
     measurements.extend(_uniform_disc(sensor.position, sensor.fov_radius, n_clutter, rng).T)

@@ -10,6 +10,7 @@ measurement noise streams.
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import streams
+from . import __version__, streams
 from .bernoulli import empty_density, extract_estimate, predict, reduce, update
 from .config import PolicySpec, ScenarioConfig
 from .gospa import GospaResult, RmsGospaSeries, gospa, rms_gospa
@@ -103,19 +104,22 @@ def generate_truth(cfg: ScenarioConfig, run: int) -> list:
         return truth
 
     motion = cfg.motion_model()
+    F = motion.F
+    # multivariate_normal's SVD factor, taken once: its draws and values, bit for bit
+    noise_factor, birth_factor = (
+        (u * np.sqrt(s)).T for u, s, _ in map(np.linalg.svd, (motion.Q, motion.birth.cov)))
     rng = streams.stream(cfg.seed, run, streams.TRUTH)
     alive = False
     x = None
-    zero = np.zeros(4)
     for t in range(cfg.duration):
         if alive:
             if rng.random() < cfg.p_survival:
-                x = motion.F @ x + rng.multivariate_normal(zero, motion.Q)
+                x = F @ x + rng.standard_normal(4) @ noise_factor
             else:
                 alive = False
         elif rng.random() < cfg.p_birth:
             alive = True
-            x = rng.multivariate_normal(motion.birth.mean, motion.birth.cov)
+            x = motion.birth.mean + rng.standard_normal(4) @ birth_factor
         truth[t] = [x.copy()] if alive else []
     return truth
 
@@ -249,6 +253,9 @@ def summarise(cfg: ScenarioConfig, batches: Sequence[BatchResult]) -> dict:
         "schema_version": 1,
         "config": cfg.resolved_dict(),
         "policies": policies,
+        # the output bits rest on numpy's SIMD log and exp and on BLAS's dot
+        "provenance": {"gosman": __version__, "numpy": np.__version__,
+                       "python": "{}.{}.{}".format(*sys.version_info[:3])},
     }
 
 

@@ -11,10 +11,11 @@ r' = r (1 - p_D) / (1 - r p_D), which leaves the spatial density as it
 was.
 
 The filter works on per-axis blocks (``AxisGaussian``). Its former 4 x 4
-matrix prediction and update are kept here as a test-only reference: the
-per-axis filter matches them bit for bit, except for a prediction at a
-time step other than 1, where BLAS may fuse multiply-adds and the
-tolerance is 1e-12 of the largest entry.
+matrix prediction and update, with the Cholesky-factor likelihood
+``_gaussian_pdf``, are kept here as a test-only reference: the per-axis
+filter matches them bit for bit, except for a prediction at a time step
+other than 1, where BLAS may fuse multiply-adds and the tolerance is
+1e-12 of the largest entry.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gosman.bernoulli import (AxisGaussian, BernoulliDensity, Gaussian, _gaussian_pdf,
+from gosman.bernoulli import (AxisGaussian, BernoulliDensity, Gaussian, _likelihoods,
                               ncv_motion_model, predict, reduce, update)
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -75,6 +76,15 @@ def _motion(p_survival, p_birth, tau=1.0):
 
 # ---------------------------------------------------------------------------
 # the 4 x 4 reference: the matrix filter, with its validating Gaussian
+
+
+def _gaussian_pdf(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    d = z - mean
+    L = np.linalg.cholesky(cov)
+    y = np.linalg.solve(L, d)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    k = len(z)
+    return float(np.exp(-0.5 * (y @ y) - 0.5 * (logdet + k * np.log(2.0 * np.pi))))
 
 
 def _ref_predict_component(g, motion):
@@ -140,6 +150,46 @@ def _assert_same_components(post, pred):
     assert len(post.components) == len(pred.components)
     assert all(a is b for a, b in zip(post.components, pred.components))
     assert post.weights == pytest.approx(pred.weights, rel=1e-12)
+
+
+_axis_variances = st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_axis_variances, _axis_variances, _axis_variances, st.floats(0.0, 40.0),
+       st.floats(0.0, 40.0), st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+       arrays(float, 4, elements=st.floats(-100.0, 100.0)))
+@example(1e-6, 1e-6, 1e-6, 40.0, 40.0, 1.0, -1.0, np.array([3.0, 0.0, -7.0, 0.0]))
+@example(1e8, 1e8, 1e8, 40.0, 0.0, -1.0, 1.0, np.array([3.0, 0.0, -7.0, 0.0]))
+@example(1e-6, 1e8, 1.0, 0.0, 0.0, 1.0, 1.0, np.array([3.0, 0.0, -7.0, 0.0]))
+def test_likelihood_matches_cholesky_form(vx, vy, noise, kx, ky, sign_x, sign_y, mean):
+    """The filter's likelihood equals ``_gaussian_pdf`` bit for bit, 0 to 40 sigma out."""
+    g = AxisGaussian(mean, (vx, 0.0, 1.0), (vy, 0.0, 1.0))
+    S = np.diag([vx + noise, vy + noise])
+    zhat = H @ mean
+    z = zhat + np.array([sign_x * kx, sign_y * ky]) * np.sqrt(S.diagonal())
+    [(offsets, [got])] = _likelihoods([g], [z], noise)
+    assert got.hex() == _gaussian_pdf(z, zhat, S).hex()
+    assert offsets == [tuple((z - zhat).tolist())]
+    if kx * kx + ky * ky >= 1600.0:
+        assert got == 0.0   # exp(-800) and below underflows at every S here
+
+
+def test_likelihood_matches_cholesky_form_in_bulk():
+    """20,000 components in one call: a last-bit slip in a few per mille shows."""
+    rng = np.random.default_rng(20)
+    n = 20_000
+    var = 10.0 ** rng.uniform(-6.0, 8.0, (n, 2))
+    noise = 10.0 ** rng.uniform(-6.0, 8.0)
+    k = rng.uniform(-40.0, 40.0, (n, 2))   # offsets in standard deviations
+    z = np.array([3.0, -7.0])
+    zhats = z - k * np.sqrt(var + noise)
+    comps = [AxisGaussian(np.array([mx, 0.0, my, 0.0]), (vx, 0.0, 1.0), (vy, 0.0, 1.0))
+             for (mx, my), (vx, vy) in zip(zhats.tolist(), var.tolist())]
+    [(_, got)] = _likelihoods(comps, [z], noise)
+    want = [_gaussian_pdf(z, zh, np.diag(v + noise)) for zh, v in zip(zhats, var)]
+    assert [a.hex() for a in got] == [b.hex() for b in want]
+    assert 0.0 in got and min(w for w in want if w > 0.0) < 1e-300   # underflow reached
 
 
 @SETTINGS

@@ -184,6 +184,12 @@ PINNED_PD = (
     # far away: a tiny mass that is not zero
     ((7, 2, 199), Gaussian(np.array([95.0, 50.0, 48.0, 0.0]), np.diag([25.0, 1.0, 25.0, 1.0])),
      "0x1.2268baa44bf9bp-41"),
+    # per-axis variance 1e-6, the mean 5e-3 from one of the key's disc samples
+    ((7, 3, 5), AxisGaussian(np.array([47.714, 0.5, 55.52, -0.5]), (1e-6, 0.0, 1e-4),
+                             (1e-6, 0.0, 1e-4)), "0x1.32b88a938bb30p-3"),
+    # per-axis variance 1e8: an almost flat density over the disc
+    ((7, 4, 8), AxisGaussian(np.array([30.0, 2.0, 65.0, -1.0]), (1e8, 1e3, 1e4),
+                             (1e8, -1e3, 1e4)), "0x1.e32ea4359f93cp-22"),
 )
 
 
@@ -376,6 +382,26 @@ def test_generate_measurements_out_of_fov_only_clutter():
     assert np.mean(counts) == pytest.approx(2.0, abs=0.3)
     Z = generate_measurements(truth, s, 0.01, 50.0, rng)
     assert all(np.linalg.norm(z - s.position) <= s.fov_radius for z in Z)
+
+
+# (stream key, noise variance, detection as float.hex, next uniform as
+# float.hex): a target at (53, 48) seen by a sensor at (50, 50) with p_D = 1
+PINNED_MEASUREMENTS = (
+    ((7, 0, 4), 10.0, ("0x1.775542738bc53p+5", "0x1.8c32bdd2e6c5ep+5"), "0x1.e03f1ddd98d02p-2"),
+    ((7, 1, 30), 10.0, ("0x1.8d173008e70d1p+5", "0x1.8fdf5078f8dcfp+5"), "0x1.e1764a4f4bfa8p-3"),
+    ((7, 0, 4), 50.0, ("0x1.3b2d68d4cb983p+5", "0x1.9b46a98a712a7p+5"), "0x1.e03f1ddd98d02p-2"),
+    ((7, 1, 30), 50.0, ("0x1.6bd425b3743dap+5", "0x1.a37dd8dafaa60p+5"), "0x1.e1764a4f4bfa8p-3"),
+)
+
+
+@pytest.mark.parametrize("key, noise, want, after", PINNED_MEASUREMENTS)
+def test_generate_measurements_pinned_bits_and_draws(key, noise, want, after):
+    s = _sensor(position=(50.0, 50.0), fov=10.0, pd=1.0)
+    rng = streams.stream(*key, streams.MEASUREMENT)
+    (z,) = generate_measurements([np.array([53.0, 1.0, 48.0, -1.0])], s, noise, 0.0, rng)
+    assert tuple(v.hex() for v in z.tolist()) == want
+    # paired seeds rely on the draw that follows
+    assert rng.random().hex() == after
 
 
 def test_action_is_immutable_value():

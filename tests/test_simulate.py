@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gosman
 from gosman import simulate
 from gosman.config import TruthEpisode, parse_config
 from gosman.simulate import (generate_truth, run_batch, run_comparison,
@@ -69,6 +71,25 @@ def test_generate_truth_model_reproducible():
             assert x[0] == pytest.approx(y[0])
     assert any(len(x) != len(y) or (x and not np.allclose(x[0], y[0]))
                for x, y in zip(a, c))
+
+
+# truth states as float.hex of run 1 below: a birth at step 1, then four survivals
+PINNED_TRUTH = (
+    ("0x1.b612bab8bedb0p+4", "0x1.1b97c4c1c7a81p+1", "0x1.641c8ddeb60f4p+5", "-0x1.68b242bea32d0p+2"),
+    ("0x1.cc60497a8f204p+4", "0x1.1424599adf6e0p+1", "0x1.4ce568cc65e04p+5", "-0x1.85c44c02898dbp+2"),
+    ("0x1.df880c7ff7802p+4", "0x1.03564cd4c3c4ep+1", "0x1.34fd3277f4a0ap+5", "-0x1.8525f1e6ee318p+2"),
+    ("0x1.f105c7b6aff7bp+4", "0x1.4b50ca1ce0508p+1", "0x1.1fa5a2ca338aap+5", "-0x1.353f462852294p+2"),
+)
+
+
+def test_generate_truth_model_pinned_bits():
+    raw = minimal_config()
+    raw["duration"] = 5
+    raw["motion"]["tau"] = 0.5   # F and Q away from tau = 1
+    raw["motion"]["p_birth"] = 0.5
+    truth = generate_truth(parse_config(raw), run=1)
+    assert [len(x) for x in truth] == [0, 1, 1, 1, 1]
+    assert tuple(tuple(v.hex() for v in x[0].tolist()) for x in truth[1:]) == PINNED_TRUTH
 
 
 def test_run_episode_shape_and_determinism():
@@ -170,6 +191,8 @@ def test_summary_json_contents(tmp_path):
                       + entry["rms_gospa_false"] ** 2)
         assert entry["rms_gospa"] ** 2 == pytest.approx(decomposed, rel=1e-6)
     assert doc["config"]["seed"] == cfg.seed
+    assert doc["provenance"] == {"gosman": gosman.__version__, "numpy": np.__version__,
+                                 "python": platform.python_version()}
 
 
 def test_summarise_matches_batch_rms():
