@@ -260,6 +260,11 @@ def parse_config(data: dict) -> ScenarioConfig:
     bounds = Bounds(**doc.pop("bounds"))
     _require(bounds.xmax > bounds.xmin and bounds.ymax > bounds.ymin,
              "config.bounds", "bounds must have positive extent")
+    position, path = doc["sensor"]["initial_position"], "config.sensor.initial_position"
+    _require(bounds.contains(position), path, f"outside the bounds, got {list(position)}")
+    for i, polygon in enumerate(doc["obstacles"]):   # an edge is a legal sensor position
+        _require(not ObstacleMap((polygon,)).blocks(position), path,
+                 f"inside obstacle {i}, got {list(position)}")
     del doc["schema_version"]
     doc["truth_mode"], doc["truth_episodes"] = doc.pop("truth")
     return ScenarioConfig(bounds=bounds, gospa_c=doc.pop("gospa")["c"],

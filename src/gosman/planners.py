@@ -16,8 +16,9 @@ that covers the whole tree solves the root, and the tree search then
 recovers the exact optimum.
 
 Planning is a pure function of belief and action: the detection
-probability of each action comes from ``sensors.gaussian_disc_pd``, which
-is deterministic, so every planner that evaluates the same action from the
+probability of each action comes from one call of
+``sensors.gaussian_disc_pd`` on the action's FOV centre, which is
+deterministic, so every planner that evaluates the same action from the
 same belief sees the same number. For an isotropic belief, which is every
 belief of the shipped configs, it is exact (a Poisson series, within about
 1e-13); for an anisotropic one, or one too thin for the series' cost cap,
@@ -28,15 +29,14 @@ numbers, from its own stream.
 The closed loop hands every planner the predicted belief as a plain
 ``(r, mean, bx, by)`` tuple (``planning_belief``, see ``costs``), and
 the inner loop is float arithmetic on such tuples, in the filter's own
-per-axis kernels. The env enumerates the actions from a sensor position
-once per episode, the greedy policies get all their detection
-probabilities from one call, and ``kl`` computes its Gaussian divergence
-once per noise class.
+per-axis kernels; an action's position is an ``(x, y)`` pair of floats.
+The env enumerates the actions from a sensor position once per episode,
+and ``kl`` computes its Gaussian divergence once per noise class.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -115,22 +115,12 @@ def planning_belief(density: BernoulliDensity) -> tuple:
     return _belief(density.r, density.components[0])
 
 
-def _plan_pd(env: PlanningEnv, pred: tuple, actions: list) -> list:
-    """Detection probabilities of ``pred`` for each action, from one call."""
+def evaluate_action(env: PlanningEnv, pred: tuple,
+                    action: Action) -> Tuple[float, tuple]:
+    """Cost and merged posterior of taking one action from a predicted belief."""
     _, mean, bx, by = pred
-    return expected_pd(mean[0], mean[2], bx[0], by[0],
-                       np.array([a.target_position for a in actions]),
-                       env.fov_radius, env.p_detect).tolist()
-
-
-def evaluate_action(env: PlanningEnv, pred: tuple, action: Action,
-                    pd_bar: Optional[float] = None) -> Tuple[float, tuple]:
-    """Cost and merged posterior of taking one action from a predicted belief.
-
-    ``pd_bar`` is computed if the caller has not batched it.
-    """
-    if pd_bar is None:
-        pd_bar = _plan_pd(env, pred, [action])[0]
+    pd_bar = expected_pd(mean[0], mean[2], bx[0], by[0], *action.target_position,
+                         env.fov_radius, env.p_detect)
     blocks = pseudo_update(pred, noise_variance(action.noise_class, env.r_low, env.r_high))
     return (node_cost(pred, blocks, pd_bar, env.c),
             merge_hypotheses(pred, blocks, pd_bar))
@@ -183,9 +173,8 @@ def exhaustive_bellman(belief: tuple, sensor_position, env: PlanningEnv,
 def _bellman_value(env, pred, position, steps_left, discount):
     """Least discounted cost of ``steps_left >= 1`` actions from a predicted belief."""
     best_value, best_action = math.inf, None
-    choices = env.actions_from(position)
-    for action, pd_bar in zip(choices, _plan_pd(env, pred, choices)):
-        value, merged = evaluate_action(env, pred, action, pd_bar)
+    for action in env.actions_from(position):
+        value, merged = evaluate_action(env, pred, action)
         if steps_left > 1:
             tail, _ = _bellman_value(env, _predict_reduced(merged, env),
                                      action.target_position, steps_left - 1, discount)
@@ -276,7 +265,6 @@ def mcts_search(belief: tuple, sensor_position, env: PlanningEnv,
     The tree, and every rollout below it, reaches ``cfg.horizon`` actions deep.
     The search stops before ``cfg.budget`` iterations once the root is solved.
     """
-    sensor_position = np.asarray(sensor_position, dtype=float)
     root = TreeNode(action=None, parent=None, depth=0,
                     sensor_position=sensor_position,
                     pred=belief,
@@ -347,10 +335,11 @@ def _random_rollout(env, node, depth_limit, discount, tree_rng) -> float:
 
 def nearest_sensor_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     """Move to the feasible action closest to the predicted positional mean."""
-    mean = np.array(belief[1][::2])
+    mx, my = belief[1][0], belief[1][2]
     best, best_d = None, math.inf
     for action in env.actions_from(sensor_position):
-        d = float(np.linalg.norm(action.target_position - mean))
+        x, y = action.target_position
+        d = float(np.linalg.norm(np.array((x - mx, y - my))))
         if d < best_d - 1e-12:
             best_d = d
             best = action
@@ -392,11 +381,12 @@ def kl_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Action:
     covariance, so its Gaussian term is zero and the detection branch's, a
     sum over the two axes, depends on the noise class only.
     """
-    r, _, bx, by = belief
-    actions = env.actions_from(sensor_position)
+    r, mean, bx, by = belief
     gauss_detect = {}
     best, best_score = None, -math.inf
-    for action, pd_bar in zip(actions, _plan_pd(env, belief, actions)):
+    for action in env.actions_from(sensor_position):
+        pd_bar = expected_pd(mean[0], mean[2], bx[0], by[0], *action.target_position,
+                             env.fov_radius, env.p_detect)
         nc = action.noise_class
         if nc not in gauss_detect:
             dx, dy = pseudo_update(belief, noise_variance(nc, env.r_low, env.r_high))

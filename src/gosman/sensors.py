@@ -7,10 +7,11 @@ measurements. The expected probability of detection of a Gaussian
 predicted density has two estimators. The filter's ``expected_pd``
 samples uniformly inside the FOV disc (importance sampling, error
 O(n^-1/2) and a low bias near p_D). The planners' ``gaussian_disc_pd`` is
-deterministic: for an isotropic position it is exact, by a Poisson series
-(within about 1e-13) or a 9-sigma shortcut, and for an anisotropic one, or
-an isotropic one too thin for the series' cost cap, it is a rule along
-1024 rays from the Gaussian mean (error at most about p_D / 1024).
+deterministic and takes one FOV centre, as plain floats, per call: for an
+isotropic position it is exact, by a Poisson series (within about 1e-13)
+or a 9-sigma shortcut, and for an anisotropic one, or an isotropic one too
+thin for the series' cost cap, it is a rule along 1024 rays from the
+Gaussian mean (error at most about p_D / 1024).
 """
 
 import functools
@@ -63,12 +64,8 @@ class Action:
     """One sensor move: destination and measurement-noise class."""
 
     id: int
-    target_position: np.ndarray
+    target_position: tuple   # (x, y) as Python floats
     noise_class: str = LOW_NOISE
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_position",
-                           np.asarray(self.target_position, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,11 @@ def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
     """
     targets = sensor.position + sensor.step_size * _unit_moves(sensor.num_actions)
     ok = bounds.contains(targets) & ~obstacles.blocks(targets)
-    actions = [Action(i, targets[i], LOW_NOISE if i % 2 == 0 else HIGH_NOISE)
+    points = targets.tolist()
+    actions = [Action(i, tuple(points[i]), LOW_NOISE if i % 2 == 0 else HIGH_NOISE)
                for i in np.flatnonzero(ok).tolist()]
     if not actions:
-        actions = [Action(0, sensor.position.copy(), LOW_NOISE)]
+        actions = [Action(0, tuple(sensor.position.tolist()), LOW_NOISE)]
     return actions
 
 
@@ -193,14 +191,12 @@ _RAY_COS, _RAY_SIN = np.cos(_RAY_ANGLES), np.sin(_RAY_ANGLES)
 SERIES_CAP = 1000.0
 
 
-def gaussian_disc_pd(mx: float, my: float, varx: float, vary: float,
-                     centres: np.ndarray, fov_radius: float,
-                     p_detect: float) -> np.ndarray:
+def gaussian_disc_pd(mx: float, my: float, varx: float, vary: float, cx: float,
+                     cy: float, fov_radius: float, p_detect: float) -> float:
     """Deterministic expected detection probability of a Gaussian position.
 
-    One value per row of ``centres``, ``(k, 2)``: p_detect times the mass
-    of the uncorrelated N((mx, my), diag(varx, vary)) inside the FOV disc
-    around that centre, by a rule chosen for each centre on its own. For an
+    p_detect times the mass of the uncorrelated N((mx, my), diag(varx, vary))
+    inside the FOV disc of radius ``fov_radius`` around (cx, cy). For an
     isotropic Gaussian (``varx == vary``, standard deviation s): 0 or
     p_detect when the centre lies more than 9 s outside or inside the FOV
     edge (neglected mass below exp(-81/2) < 3e-18); a point mass for a zero
@@ -209,19 +205,13 @@ def gaussian_disc_pd(mx: float, my: float, varx: float, vary: float,
     ``_disc_mass_series``, within about 1e-13, while x + lambda =
     (R^2 + |d|^2) / s^2 is at most ``SERIES_CAP``. Anisotropic Gaussians,
     and isotropic ones above the cap, take the ray rule of ``_ray_pd``,
-    error at most about p_detect / 1024. A batch gives, bit for bit, the
-    values of its centres one at a time.
+    error at most about p_detect / 1024.
     """
-    if varx != vary:
-        return _ray_pd(mx, my, varx, vary, centres, fov_radius, p_detect)
-    pds = [_isotropic_pd(cx - mx, cy - my, varx, fov_radius, p_detect)
-           for cx, cy in centres.tolist()]
-    rays = [i for i, pd in enumerate(pds) if pd is None]
-    if rays:
-        for i, pd in zip(rays, _ray_pd(mx, my, varx, vary, centres[rays],
-                                       fov_radius, p_detect).tolist()):
-            pds[i] = pd
-    return np.array(pds)
+    if varx == vary:
+        pd = _isotropic_pd(cx - mx, cy - my, varx, fov_radius, p_detect)
+        if pd is not None:
+            return pd
+    return _ray_pd(mx, my, varx, vary, cx, cy, fov_radius, p_detect)
 
 
 def _isotropic_pd(dx: float, dy: float, var: float, fov_radius: float,
@@ -281,8 +271,8 @@ def _disc_mass_series(x: float, lam: float) -> float:
     return total
 
 
-def _ray_pd(mx: float, my: float, varx: float, vary: float,
-            centres: np.ndarray, fov_radius: float, p_detect: float) -> np.ndarray:
+def _ray_pd(mx: float, my: float, varx: float, vary: float, cx: float, cy: float,
+            fov_radius: float, p_detect: float) -> float:
     """The disc mass times p_detect along 1024 rays (DiDonato & Jarnagin 1961).
 
     With the position whitened, a ray u = t (cos a, sin a) meets the disc
@@ -290,10 +280,9 @@ def _ray_pd(mx: float, my: float, varx: float, vary: float,
     normal's radial mass is exactly exp(-t1^2/2) - exp(-t2^2/2); the mass
     is the mean of that over 1024 evenly spaced angles. Its error is at
     most about p_detect / 1024, reached when a thin Gaussian sits on the
-    FOV edge. Each row of ``centres`` is computed on its own.
+    FOV edge.
     """
-    dx = centres[:, 0, None] - mx
-    dy = centres[:, 1, None] - my
+    dx, dy = cx - mx, cy - my
     ex = math.sqrt(varx) * _RAY_COS
     ey = math.sqrt(vary) * _RAY_SIN
     # |t e - d|^2 <= R^2  <=>  a t^2 - 2 b t + c <= 0; flooring a makes a
@@ -305,8 +294,9 @@ def _ray_pd(mx: float, my: float, varx: float, vary: float,
     t1 = np.maximum((b - root) / a, 0.0)
     t2 = np.maximum((b + root) / a, 0.0)
     # the mean over rays of the mass; a sum of negated terms is the negated sum
-    mass = -(np.exp(-0.5 * t1 * t1) * np.expm1(-0.5 * (t2 - t1) * (t2 + t1))).sum(axis=1)
-    return np.minimum(p_detect * np.maximum(mass / len(_RAY_COS), 0.0), p_detect)
+    mass = -float((np.exp(-0.5 * t1 * t1) * np.expm1(-0.5 * (t2 - t1) * (t2 + t1))).sum())
+    # max(0.0, m) and min(p_detect, m) settle ties, -0.0 too, as np.maximum and np.minimum do
+    return min(p_detect, p_detect * max(0.0, mass / len(_RAY_COS)))
 
 
 def noise_variance(noise_class: str, r_low: float, r_high: float) -> float:

@@ -135,7 +135,7 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
     truth = generate_truth(cfg, run)
 
     posterior = empty_density()
-    sensor_position = np.asarray(cfg.initial_position, dtype=float)
+    sensor_position = cfg.initial_position
     records = []
     for t in range(cfg.duration):
         try:
@@ -169,7 +169,7 @@ def run_episode(cfg: ScenarioConfig, policy_spec: PolicySpec, run: int) -> RunMe
             g = gospa(truth[t], estimate, cfg.gospa_c)
             records.append(StepRecord(
                 step=t, gospa=g, action_id=action.id,
-                sensor_position=(float(sensor_position[0]), float(sensor_position[1])),
+                sensor_position=sensor_position,
                 existence=float(posterior.r), estimated=bool(estimate),
                 truth_present=bool(truth[t]), plan_seconds=plan_seconds))
         except Exception as exc:

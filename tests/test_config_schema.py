@@ -211,6 +211,18 @@ def test_wrong_types_name_their_field(tmp_path, capsys, path, value, message):
         (1, "", message + "\n")
 
 
+@pytest.mark.parametrize("position, message", [
+    ([-50, -50], "config.sensor.initial_position: outside the bounds, got [-50.0, -50.0]"),
+    ([520, 500], "config.sensor.initial_position: inside obstacle 0, got [520.0, 500.0]"),
+    ([0, 1000], None),   # on the bounds
+    ([495, 500], None),  # on the obstacle's edge
+], ids=["outside-bounds", "inside-obstacle", "bounds-corner", "obstacle-edge"])
+def test_initial_position_must_be_reachable(tmp_path, capsys, position, message):
+    raw = with_value(full_config(), ("sensor", "initial_position"), position)
+    code, _, err = validate(tmp_path, capsys, raw)
+    assert (code, err) == ((1, message + "\n") if message else (0, ""))
+
+
 def _run_argv(command, cfg, out):
     return [command, "--config", cfg] + ([] if command == "validate" else
                                          ["--out", str(out), "--runs", "1"])

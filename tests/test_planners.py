@@ -41,15 +41,14 @@ def test_evaluate_action_cost_matches_components():
     assert cost >= 0.0
     assert 0.0 <= r <= 1.0 and len(mean) == 4 and len(bx) == len(by) == 3
     # the cost and merge of the action's own detection branch
-    pd_bar = planners._plan_pd(env, pred, [action])[0]
+    _, mean, bx, by = pred
+    pd_bar = planners.expected_pd(mean[0], mean[2], bx[0], by[0], *action.target_position,
+                                  env.fov_radius, env.p_detect)
     blocks = pseudo_update(pred, noise_variance(action.noise_class, env.r_low, env.r_high))
     assert cost == node_cost(pred, blocks, pd_bar, env.c)
     assert merged == merge_hypotheses(pred, blocks, pd_bar)
-    # a pure function of belief and action, with the detection probability
-    # batched or not
-    for again in (evaluate_action(env, pred, action),
-                  evaluate_action(env, pred, action, pd_bar)):
-        assert again == (cost, merged)
+    # a pure function of belief and action
+    assert evaluate_action(env, pred, action) == (cost, merged)
 
 
 def test_planning_belief_requires_single_component():
@@ -183,6 +182,37 @@ def test_mcts_matches_oracle_on_isotropic_beliefs(monkeypatch):
         assert result.action.id == oracle_action.id
         assert abs(-result.value - oracle_value) <= 1e-9
     assert counts["series"] > 0 and counts["ray"] == 0
+
+
+# per oracle scenario (seed 0): the tree search's value as float.hex and its
+# action, and the actions of gd and kl; first as drawn (unequal variances,
+# the ray rule), then with by = bx (the series)
+PINNED_DECISIONS = {
+    False: (("-0x1.2c7e1c7819026p+8", 0, 0, 0), ("-0x1.3c958d591ed0ap+8", 0, 0, 0),
+            ("-0x1.89be7f929bedbp+8", 0, 0, 0), ("-0x1.fa1018e5acc59p+7", 0, 0, 0),
+            ("-0x1.fb6b6e24ef36cp+7", 0, 0, 0), ("-0x1.64a8604897ae4p+7", 0, 0, 0),
+            ("-0x1.3c2d9d947300cp+7", 0, 0, 0), ("-0x1.6033cc02bc39ep+8", 0, 0, 0),
+            ("-0x1.4ee0a03a8cdf4p+8", 0, 0, 0), ("-0x1.4bf361b5278d1p+8", 0, 0, 0)),
+    True: (("-0x1.2dd984480e500p+8", 0, 0, 0), ("-0x1.3bd8586ced5e0p+8", 0, 0, 0),
+           ("-0x1.8b0f6e4531787p+8", 0, 0, 0), ("-0x1.f32f4cad9b9fep+7", 0, 0, 0),
+           ("-0x1.fad00fa058fe0p+7", 0, 0, 0), ("-0x1.6f980a491dbcdp+7", 0, 0, 0),
+           ("-0x1.2d48b13e50019p+7", 0, 0, 0), ("-0x1.7c84e9c5fdf4ap+8", 0, 0, 0),
+           ("-0x1.48ed271d46596p+8", 0, 0, 0), ("-0x1.4a962651b2258p+8", 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("isotropic", [False, True])
+def test_decisions_pinned_bits(isotropic):
+    cfg = PlannerConfig(horizon=4, discount=0.7, exploration=0.05, budget=20)
+    got = []
+    for i, belief, pos, env in oracle_scenarios(0):
+        if isotropic:
+            r, mean, bx, _ = belief
+            belief = (r, mean, bx, bx)
+        result = mcts_search(belief, pos, env, cfg, (7, i))
+        got.append((result.value.hex(), result.action.id,
+                    myopic_plan(belief, pos, env).id, kl_plan(belief, pos, env).id))
+    assert tuple(got) == PINNED_DECISIONS[isotropic]
 
 
 def test_mcts_zero_discount_matches_myopic():

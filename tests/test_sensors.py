@@ -1,5 +1,6 @@
 """Unit tests for sensor geometry, detection and measurement generation."""
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -21,9 +22,8 @@ def _sensor(position=(0.0, 0.0), fov=10.0, step=5.0, n=4, pd=0.9):
 
 def _disc_pd(g, s):
     """Planning PD of a 2-D Gaussian with a diagonal covariance, one centre."""
-    (pd,) = gaussian_disc_pd(g.mean[0], g.mean[1], g.cov[0, 0], g.cov[1, 1],
-                             s.position[None], s.fov_radius, s.p_detect)
-    return pd
+    return gaussian_disc_pd(g.mean[0], g.mean[1], g.cov[0, 0], g.cov[1, 1],
+                            *s.position, s.fov_radius, s.p_detect)
 
 
 def test_bounds_contains():
@@ -282,18 +282,18 @@ def test_isotropic_disc_pd_properties(ratio, pd, g, dist_r, g_cap, angle):
     # distances in sigma units about the edge, and in FOV radii
     dists = sorted(abs(d) for d in (R + g * sigma, R + (g + 0.5) * sigma, dist_r * R,
                                     dist_r * R + sigma, 0.0))
-    pds = gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2,
-                           s.position + np.outer(dists, unit), R, pd)
+    pds = np.array([gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2, cx, cy, R, pd)
+                    for cx, cy in (s.position + np.outer(dists, unit)).tolist()])
     assert np.all((0.0 <= pds) & (pds <= pd))
     for (d1, p1), (d2, p2) in zip(zip(dists, pds), zip(dists[1:], pds[1:])):
         exact = _takes_series(d1, sigma, R) and _takes_series(d2, sigma, R)
         assert p2 <= p1 + (1e-12 if exact else pd / 1024)
     # just below the cap the series runs; the ray rule agrees within its bound
     sigma, dist = _cap_placement(R, g_cap, SERIES_CAP * (1.0 - 1e-9))
-    centre = (s.position + dist * unit)[None]
-    series = gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2, centre, R, pd)
-    ray = _ray_pd(5.0, 5.0, sigma ** 2, sigma ** 2, centre, R, pd)
-    assert abs(series[0] - ray[0]) <= pd / 1024
+    cx, cy = (s.position + dist * unit).tolist()
+    series = gaussian_disc_pd(5.0, 5.0, sigma ** 2, sigma ** 2, cx, cy, R, pd)
+    ray = _ray_pd(5.0, 5.0, sigma ** 2, sigma ** 2, cx, cy, R, pd)
+    assert abs(series - ray) <= pd / 1024
 
 
 def test_gaussian_disc_pd_matches_monte_carlo():
@@ -344,23 +344,44 @@ def test_gaussian_disc_pd_range_and_purity():
             assert _disc_pd(Gaussian(np.array(mean), cov), s) == want
 
 
-def test_gaussian_disc_pd_batch_matches_single_centre():
-    # one call over k centres gives, bit for bit, the k one-centre values,
-    # also for a Gaussian sitting on the FOV edge
+# (mx, my, varx, vary, cx, cy, R, p_D) and the PD as float.hex, two inputs per rule
+PINNED_DISC_PDS = (
+    ((3.0, -4.0, 0.25, 0.25, 30.0, 12.5, 10.0, 0.9), "0x0.0p+0"),   # 9 sigma outside
+    ((3.0, -4.0, 0.25, 0.25, 5.5, -3.0, 10.0, 0.9), "0x1.ccccccccccccdp-1"),   # 9 sigma inside
+    ((1.0, 2.0, 0.0, 0.0, 7.0, 10.0, 10.0, 0.9), "0x1.ccccccccccccdp-1"),   # point mass, edge
+    ((1.0, 2.0, 5e-324, 5e-324, 1.0, 12.5, 10.0, 0.9), "0x0.0p+0"),   # subnormal, outside
+    ((0.0, 0.0, 16.0, 16.0, 6.0, 8.0, 10.0, 0.9), "0x1.81a214b48f122p-2"),   # series, edge
+    ((12.5, -7.25, 2.0, 2.0, 22.05336489125606, -4.294797933386604, 10.0, 0.8),
+     "0x1.826eaefef1eb2p-2"),   # series, edge
+    ((30.0, 30.0, 80.0, 20.0, 36.0, 30.0, 12.0, 0.9), "0x1.395908c63bc59p-1"),   # rays
+    ((-5.0, 8.0, 1.0, 400.0, 3.0, 14.0, 10.0, 0.7), "0x1.336ceb6f1c5c9p-3"),   # rays
+    ((0.0, 0.0, 0.1, 0.1, 10.0, 0.0, 10.0, 0.9), "0x1.c6fc68e593be4p-2"),   # rays, x + lambda 2000
+    ((4.0, 4.0, 0.09, 0.09, 11.0, 11.5, 10.0, 0.9), "0x1.5dd8c80ff19d4p-3"),   # rays, above the cap
+)
+
+
+@pytest.mark.parametrize("args, want", PINNED_DISC_PDS)
+def test_gaussian_disc_pd_pinned_bits(args, want):
+    assert gaussian_disc_pd(*args).hex() == want
+
+
+def test_gaussian_disc_pd_pinned_digest():
+    # 1,200 centres, half of them on the FOV edge, over every rule: the
+    # sha256 of their values as float.hex
     rng = np.random.default_rng(9)
     R = 10.0
+    values = []
     for _ in range(200):
-        mx, my = rng.uniform(-30.0, 30.0, size=2)
-        varx, vary = (R * rng.choice([1e-3, 0.1, 1.0, 10.0], size=2)) ** 2
+        mx, my = rng.uniform(-30.0, 30.0, size=2).tolist()
+        varx, vary = ((R * rng.choice([1e-3, 0.1, 1.0, 10.0], size=2)) ** 2).tolist()
         angles = rng.uniform(0.0, 2.0 * np.pi, size=6)
         dist = np.where(rng.random(6) < 0.5, R, rng.uniform(0.0, 3.0 * R, size=6))
         centres = np.array([mx, my]) + dist[:, None] * np.stack(
             [np.cos(angles), np.sin(angles)], axis=1)
-        batch = gaussian_disc_pd(mx, my, varx, vary, centres, R, 0.9)
-        single = [gaussian_disc_pd(mx, my, varx, vary, c[None], R, 0.9)[0]
-                  for c in centres]
-        assert batch.shape == (6,)
-        assert batch.tolist() == single
+        values += [gaussian_disc_pd(mx, my, varx, vary, cx, cy, R, 0.9)
+                   for cx, cy in centres.tolist()]
+    digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == "f9d350ecc0a656522455973c6b001f4662050ac0b18c8ee9496a71683c1c04b5"
 
 
 def test_generate_measurements_detection_and_clutter():
@@ -406,6 +427,10 @@ def test_generate_measurements_pinned_bits_and_draws(key, noise, want, after):
 
 def test_action_is_immutable_value():
     a = Action(3, (1.0, 2.0), HIGH_NOISE)
-    assert a.target_position.dtype == float
+    assert a.target_position == (1.0, 2.0)
+    # enumerated positions are pairs of Python floats too
+    (b,) = enumerate_actions(_sensor(n=1), ObstacleMap(), Bounds(-9.0, 9.0, -9.0, 9.0))
+    assert type(b.target_position) is tuple
+    assert [type(v) for v in b.target_position] == [float, float]
     with pytest.raises(Exception):
         a.id = 4
