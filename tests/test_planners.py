@@ -360,6 +360,18 @@ def test_nearest_sensor_moves_towards_mean():
     assert action.id == 2  # west
 
 
+@pytest.mark.parametrize("mean, want", [((30.0, 30.0), 0), ((10.0, 10.0), 2),
+                                        ((10.0, 30.0), 1), ((30.0, 10.0), 0)])
+def test_nearest_sensor_tie_picks_lower_id(mean, want):
+    # from (20, 20) the moves reach (26, 20), (20, 26), (14, 20) and (20, 14)
+    # exactly; each mean is as far from two of them, to the bit
+    env = _env()
+    pred = _belief(mean=(mean[0], 0.0, mean[1], 0.0))
+    targets = {a.id: a.target_position for a in env.actions_from((20.0, 20.0))}
+    assert targets == {0: (26.0, 20.0), 1: (20.0, 26.0), 2: (14.0, 20.0), 3: (20.0, 14.0)}
+    assert nearest_sensor_plan(pred, (20.0, 20.0), env).id == want
+
+
 def test_kl_zero_for_identical():
     block = (4.0, 1.0, 2.0)
     assert bernoulli_kl(0.6, 0.6, gaussian_kl(block, block)) == pytest.approx(0.0, abs=1e-12)

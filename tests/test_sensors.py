@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -434,3 +435,80 @@ def test_action_is_immutable_value():
     assert [type(v) for v in b.target_position] == [float, float]
     with pytest.raises(Exception):
         a.id = 4
+
+
+# -- action geometry, recorded from the numpy forms before it moved to floats
+
+# a box with an obstacle of each orientation: a counter-clockwise square and
+# a clockwise triangle
+DIGEST_BOUNDS = Bounds(0.0, 100.0, 0.0, 100.0)
+DIGEST_POLYGONS = ([[40.0, 40.0], [60.0, 40.0], [60.0, 60.0], [40.0, 60.0]],
+                   [[70.0, 10.0], [75.0, 30.0], [90.0, 15.0]])
+
+
+def _digest_coordinates():
+    """Bounds and obstacle lines, one step (5 or 25) off them, and their float neighbours."""
+    lines = (0.0, 10.0, 15.0, 30.0, 40.0, 50.0, 60.0, 70.0, 75.0, 90.0, 100.0)
+    base = sorted({v + s for v in lines for s in (-25.0, -5.0, 0.0, 5.0, 25.0)
+                   if -30.0 <= v + s <= 130.0})
+    return sorted(set(base) | {math.nextafter(v, -math.inf) for v in (0.0, 35.0, 100.0)}
+                  | {math.nextafter(v, math.inf) for v in (5.0, 65.0, 95.0)}
+                  | {72.5, 82.5, 12.5, 22.5})
+
+
+def _enumeration_lines():
+    obstacles = ObstacleMap(DIGEST_POLYGONS)
+    coords = _digest_coordinates()
+    for n in (1, 4, 6, 7):
+        for step in (5.0, 25.0):
+            for x in coords:
+                for y in coords:
+                    sensor = _sensor(position=(x, y), n=n, step=step)
+                    for a in enumerate_actions(sensor, obstacles, DIGEST_BOUNDS):
+                        yield (f"{n} {step} {x.hex()} {y.hex()} {a.id} "
+                               f"{a.target_position[0].hex()} {a.target_position[1].hex()} "
+                               f"{a.noise_class}")
+
+
+def test_enumerate_actions_pinned_digest():
+    lines = list(_enumeration_lines())
+    # the grid reaches the all-blocked fallback: the sensor stays in the square
+    assert "4 5.0 0x1.9000000000000p+5 0x1.9000000000000p+5 0 " \
+        "0x1.9000000000000p+5 0x1.9000000000000p+5 low" in lines
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1862b8c3829efb2b03b74c757cb37578a08f23c88a546d8933a1d8a928dc56ff"
+
+
+def _numpy_contains(bounds, p):
+    """``Bounds.contains`` as it was on points and (k, 2) arrays alike."""
+    x, y = np.asarray(p)[..., 0], np.asarray(p)[..., 1]
+    return (bounds.xmin <= x) & (x <= bounds.xmax) & (bounds.ymin <= y) & (y <= bounds.ymax)
+
+
+def _numpy_blocks(polygons, p):
+    """``ObstacleMap.blocks`` as it was on points and (k, 2) arrays alike."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0, None], p[..., 1, None]
+    out = np.zeros(p.shape[:-1], dtype=bool)
+    for v in (np.asarray(q, dtype=float) for q in polygons):
+        a, d = v, np.roll(v, -1, 0) - v
+        cross = d[:, 0] * (y - a[:, 1]) - d[:, 1] * (x - a[:, 0])
+        out |= np.all(cross > 0.0, axis=-1) | np.all(cross < 0.0, axis=-1)
+    return out
+
+
+# coordinates near the bounds and the obstacles' lines, their vertices included
+_geometry_coordinate = st.one_of(
+    st.floats(-10.0, 110.0),
+    st.sampled_from([0.0, 10.0, 15.0, 30.0, 40.0, 50.0, 60.0, 70.0, 75.0, 90.0, 100.0]),
+    st.sampled_from([0.0, 40.0, 60.0, 100.0]).map(lambda v: math.nextafter(v, -math.inf)),
+    st.sampled_from([0.0, 40.0, 60.0, 100.0]).map(lambda v: math.nextafter(v, math.inf)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_geometry_coordinate, _geometry_coordinate)
+def test_point_geometry_matches_numpy_forms(x, y):
+    obstacles = ObstacleMap(DIGEST_POLYGONS)
+    for point in ((x, y), np.array([x, y])):
+        assert obstacles.blocks(point) == bool(_numpy_blocks(DIGEST_POLYGONS, point))
+        assert DIGEST_BOUNDS.contains(point) == bool(_numpy_contains(DIGEST_BOUNDS, point))
