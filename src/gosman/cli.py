@@ -120,7 +120,7 @@ def _simulate(args) -> int:
     batches = (run_comparison(cfg, parallel=args.parallel) if compare
                else [run_batch(cfg, parallel=args.parallel)])
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), batches)
-    write_summary_json(os.path.join(args.out, "summary.json"), cfg, batches)
+    write_summary_json(os.path.join(args.out, "summary.json"), cfg, batches, args.argv)
     runs = "" if compare else f" over {cfg.mc_runs} runs x {cfg.duration} steps"
     for batch in batches:
         print(f"{batch.label}: rms gospa {batch.rms.overall:.4f}{runs}")
@@ -202,6 +202,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse: 2 for a rejected command line, 0 for --help
         return 1 if exc.code == 2 else exc.code
+    args.argv = ["gosman", *(sys.argv[1:] if argv is None else argv)]   # summary provenance
     commands = {"run": _simulate, "compare": _simulate,
                 "validate": _cmd_validate, "oracle": _cmd_oracle}
     try:

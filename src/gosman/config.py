@@ -92,9 +92,24 @@ def _list(data, path, item, least=0, message="expected a list") -> tuple:
     return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(data))
 
 
+def _parse_polygon(data, path) -> tuple:
+    """At least 3 vertices, each one off an edge strictly on one side of it.
+
+    That is a strictly convex polygon in either orientation, for which the
+    half-plane test of ``ObstacleMap.blocks`` is exact; a collinear, concave
+    or self-intersecting one fails.
+    """
+    poly = _list(data, path, Check(2).parse, 3, "expected >= 3 vertices")
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(poly, poly[1:] + poly[:1])):
+        cross = [(bx - ax) * (y - ay) - (by - ay) * (x - ax)
+                 for j, (x, y) in enumerate(poly) if j not in (i, (i + 1) % len(poly))]
+        _require(all(c > 0.0 for c in cross) or all(c < 0.0 for c in cross), path,
+                 "expected a strictly convex polygon")
+    return poly
+
+
 def _parse_obstacles(data, path) -> tuple:
-    return _list(data, path, lambda poly, p: _list(poly, p, Check(2).parse, 3,
-                                                   "expected >= 3 vertices"))
+    return _list(data, path, _parse_polygon)
 
 
 def _parse_policy(data, path) -> PolicySpec:
@@ -239,7 +254,7 @@ class ScenarioConfig:
     def planning_env(self) -> PlanningEnv:
         return PlanningEnv(
             motion=self.motion_model(),
-            obstacles=ObstacleMap(tuple(np.asarray(p) for p in self.obstacles)),
+            obstacles=ObstacleMap(self.obstacles),
             bounds=self.bounds, fov_radius=self.fov_radius, step_size=self.step_size,
             num_actions=self.num_actions, p_detect=self.p_detect,
             r_low=self.r_low, r_high=self.r_high, c=self.gospa_c)

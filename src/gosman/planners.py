@@ -31,7 +31,8 @@ The closed loop hands every planner the predicted belief as a plain
 the inner loop is float arithmetic on such tuples, in the filter's own
 per-axis kernels; an action's position is an ``(x, y)`` pair of floats.
 The env enumerates the actions from a sensor position once per episode,
-and ``kl`` computes its Gaussian divergence once per noise class.
+``ns`` measures distances with ``math.hypot``, and ``kl`` computes its
+Gaussian divergence once per noise class.
 """
 
 import math
@@ -338,11 +339,9 @@ def nearest_sensor_plan(belief: tuple, sensor_position, env: PlanningEnv) -> Act
     mx, my = belief[1][0], belief[1][2]
     best, best_d = None, math.inf
     for action in env.actions_from(sensor_position):
-        x, y = action.target_position
-        d = float(np.linalg.norm(np.array((x - mx, y - my))))
+        d = math.hypot(action.target_position[0] - mx, action.target_position[1] - my)
         if d < best_d - 1e-12:
-            best_d = d
-            best = action
+            best, best_d = action, d
     return best
 
 

@@ -2,8 +2,9 @@
 
 A mobile sensor with a circular field of view moves a fixed step each
 time-step, choosing between actions evenly distributed on a circle.
-Obstacles (convex polygons) block sensor movement but not targets or
-measurements. The expected probability of detection of a Gaussian
+Obstacles (strictly convex polygons) block sensor movement but not targets
+or measurements; the move geometry is float arithmetic on one ``(x, y)``
+point at a time. The expected probability of detection of a Gaussian
 predicted density has two estimators. The filter's ``expected_pd``
 samples uniformly inside the FOV disc (importance sampling, error
 O(n^-1/2) and a low bias near p_D). The planners' ``gaussian_disc_pd`` is
@@ -35,10 +36,9 @@ class Bounds:
     ymin: float
     ymax: float
 
-    def contains(self, p):
-        """Whether a point, or each row of a ``(k, 2)`` array, lies in the box."""
-        x, y = np.asarray(p)[..., 0], np.asarray(p)[..., 1]
-        return (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
+    def contains(self, p) -> bool:
+        """Whether the point ``(x, y)`` lies in the box, its edges included."""
+        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
 
 @dataclass(frozen=True)
@@ -70,34 +70,38 @@ class Action:
 
 @dataclass(frozen=True)
 class ObstacleMap:
-    """Convex polygonal no-go regions for the sensor."""
+    """Strictly convex polygonal no-go regions for the sensor, in either orientation."""
 
     polygons: tuple = ()
 
     def __post_init__(self):
-        polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
+        polys = tuple(tuple((float(x), float(y)) for x, y in p) for p in self.polygons)
         if any(len(p) < 3 for p in polys):
             raise ValueError("polygons need at least 3 vertices")
         object.__setattr__(self, "polygons", polys)
-        # each polygon's vertices a and edge vectors b - a, for the half-plane tests
-        object.__setattr__(self, "_edges", tuple((v, np.roll(v, -1, 0) - v) for v in polys))
+        object.__setattr__(self, "_edges", tuple(
+            tuple((ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]))
+            for v in polys))
 
-    def blocks(self, p):
-        """Whether a point, or each row of a (k, 2) array, is strictly inside a polygon."""
-        p = np.asarray(p, dtype=float)
-        x, y = p[..., 0, None], p[..., 1, None]
-        out = np.zeros(p.shape[:-1], dtype=bool)
-        for a, d in self._edges:
-            cross = d[:, 0] * (y - a[:, 1]) - d[:, 1] * (x - a[:, 0])
-            out |= np.all(cross > 0.0, axis=-1) | np.all(cross < 0.0, axis=-1)
-        return out
+    def blocks(self, p) -> bool:
+        """Whether the point ``(x, y)`` lies strictly inside a polygon (half-plane tests)."""
+        x, y = p
+        for edges in self._edges:
+            below = above = False   # whether a cross product is <= 0, whether one is >= 0
+            for ax, ay, dx, dy in edges:
+                cross = dx * (y - ay) - dy * (x - ax)
+                below, above = below or not cross > 0.0, above or not cross < 0.0
+                if below and above:
+                    break
+            else:   # every cross product of one strict sign
+                return True
+        return False
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_moves(n: int) -> np.ndarray:
-    """Unit vectors at angles 2 pi i / n, one scalar cos/sin call each."""
-    return np.array([[np.cos(a), np.sin(a)]
-                     for a in (2.0 * np.pi * i / n for i in range(n))])
+def _unit_moves(n: int) -> tuple:
+    """``(cos, sin)`` float pairs at angles 2 pi i / n, from numpy's scalar cos and sin."""
+    return tuple((float(np.cos(a)), float(np.sin(a))) for a in 2.0 * np.pi * np.arange(n) / n)
 
 
 def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
@@ -110,14 +114,13 @@ def enumerate_actions(sensor: SensorState, obstacles: ObstacleMap,
     sensor stays in place (zero-displacement fallback) so planners never
     face an empty action set. Actions come in ascending id order.
     """
-    targets = sensor.position + sensor.step_size * _unit_moves(sensor.num_actions)
-    ok = bounds.contains(targets) & ~obstacles.blocks(targets)
-    points = targets.tolist()
-    actions = [Action(i, tuple(points[i]), LOW_NOISE if i % 2 == 0 else HIGH_NOISE)
-               for i in np.flatnonzero(ok).tolist()]
-    if not actions:
-        actions = [Action(0, tuple(sensor.position.tolist()), LOW_NOISE)]
-    return actions
+    (px, py), step = sensor.position.tolist(), sensor.step_size
+    actions = []
+    for i, (ux, uy) in enumerate(_unit_moves(sensor.num_actions)):
+        target = (px + step * ux, py + step * uy)   # numpy's order, bit for bit
+        if bounds.contains(target) and not obstacles.blocks(target):
+            actions.append(Action(i, target, LOW_NOISE if i % 2 == 0 else HIGH_NOISE))
+    return actions or [Action(0, (px, py), LOW_NOISE)]
 
 
 def detection_probability(x, sensor: SensorState) -> float:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional, Sequence
@@ -184,31 +185,38 @@ def _episode_worker(args):
     return run_episode(cfg, spec, run)
 
 
+def _run_batches(cfg: ScenarioConfig, specs: Sequence[PolicySpec], parallel: int) -> list:
+    """All Monte Carlo runs of each policy in turn, aggregated to RMS GOSPA.
+
+    ``parallel`` worker processes, at most one per CPU, form one pool that
+    every policy's runs share. A policy's ``wall_seconds`` is the time of
+    its own runs.
+    """
+    pooled = parallel > 1 and cfg.mc_runs > 1
+    batches = []
+    with Pool(min(parallel, os.cpu_count() or 1)) if pooled else nullcontext() as pool:
+        for spec in specs:
+            t0 = time.perf_counter()
+            jobs = [(cfg, spec, run) for run in range(cfg.mc_runs)]
+            runs = pool.map(_episode_worker, jobs) if pooled else list(map(_episode_worker, jobs))
+            wall = time.perf_counter() - t0
+            batches.append(BatchResult(label=spec.label, runs=tuple(runs),
+                                       rms=rms_gospa([r.gospa_results for r in runs]),
+                                       plan_seconds=sum(r.plan_seconds for r in runs),
+                                       wall_seconds=wall))
+    return batches
+
+
 def run_batch(cfg: ScenarioConfig, policy_spec: Optional[PolicySpec] = None,
               parallel: int = 0) -> BatchResult:
-    """All Monte Carlo runs of one policy, aggregated to RMS GOSPA.
-
-    ``parallel`` worker processes share the runs, at most one per CPU.
-    """
-    spec = policy_spec if policy_spec is not None else cfg.policy
-    t0 = time.perf_counter()
-    jobs = [(cfg, spec, run) for run in range(cfg.mc_runs)]
-    if parallel > 1 and cfg.mc_runs > 1:
-        with Pool(min(parallel, os.cpu_count() or 1)) as pool:
-            runs = pool.map(_episode_worker, jobs)
-    else:
-        runs = [_episode_worker(job) for job in jobs]
-    wall = time.perf_counter() - t0
-    rms = rms_gospa([r.gospa_results for r in runs])
-    return BatchResult(label=spec.label, runs=tuple(runs), rms=rms,
-                       plan_seconds=sum(r.plan_seconds for r in runs),
-                       wall_seconds=wall)
+    """All Monte Carlo runs of one policy, by default the config's ``policy``."""
+    return _run_batches(cfg, [policy_spec if policy_spec is not None else cfg.policy],
+                        parallel)[0]
 
 
 def run_comparison(cfg: ScenarioConfig, parallel: int = 0) -> list:
     """Run every policy in the comparison list under paired random streams."""
-    specs = cfg.policies if cfg.policies else (cfg.policy,)
-    return [run_batch(cfg, spec, parallel) for spec in specs]
+    return _run_batches(cfg, cfg.policies if cfg.policies else (cfg.policy,), parallel)
 
 
 def _fmt(value: float) -> str:
@@ -235,7 +243,9 @@ def write_metrics_csv(path, batches: Sequence[BatchResult]) -> None:
                     ]) + "\n")
 
 
-def summarise(cfg: ScenarioConfig, batches: Sequence[BatchResult]) -> dict:
+def summarise(cfg: ScenarioConfig, batches: Sequence[BatchResult],
+              argv: Optional[Sequence[str]] = None) -> dict:
+    """The summary document; ``argv`` is the ``gosman`` command line, None for a library call."""
     policies = {}
     steps = cfg.duration * cfg.mc_runs
     for batch in batches:
@@ -254,12 +264,14 @@ def summarise(cfg: ScenarioConfig, batches: Sequence[BatchResult]) -> dict:
         "config": cfg.resolved_dict(),
         "policies": policies,
         # the output bits rest on numpy's SIMD log and exp and on BLAS's dot
-        "provenance": {"gosman": __version__, "numpy": np.__version__,
+        "provenance": {"argv": None if argv is None else list(argv), "gosman": __version__,
+                       "nproc": os.cpu_count(), "numpy": np.__version__,
                        "python": "{}.{}.{}".format(*sys.version_info[:3])},
     }
 
 
-def write_summary_json(path, cfg: ScenarioConfig, batches: Sequence[BatchResult]) -> None:
+def write_summary_json(path, cfg: ScenarioConfig, batches: Sequence[BatchResult],
+                       argv: Optional[Sequence[str]] = None) -> None:
     with open(path, "w") as fh:
-        json.dump(summarise(cfg, batches), fh, indent=2, sort_keys=True)
+        json.dump(summarise(cfg, batches, argv), fh, indent=2, sort_keys=True)
         fh.write("\n")

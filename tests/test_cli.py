@@ -1,6 +1,7 @@
 """Tests for the command line entry points and exit codes."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,26 @@ def test_compare_writes_combined_metrics(tmp_path, capsys):
     text = (out / "metrics.csv").read_text()
     assert ",ns," in text and ",gd," in text
     assert capsys.readouterr().out.count("rms gospa") == 2
+
+
+TIMING_FIELDS = ("mean_plan_seconds_per_step", "total_plan_seconds", "wall_seconds")
+
+
+def test_compare_summary_records_command_and_repeats(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_raw())
+    argv = ["compare", "--config", cfg, "--out", str(tmp_path / "out"), "--parallel", "2"]
+    docs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for entry in doc["policies"].values():
+            for key in TIMING_FIELDS:
+                assert entry.pop(key) >= 0.0
+        docs.append(json.dumps(doc, sort_keys=True))
+    assert docs[0] == docs[1]
+    provenance = json.loads(docs[0])["provenance"]
+    assert provenance["argv"] == ["gosman", *argv]
+    assert provenance["nproc"] == os.cpu_count()
 
 
 def test_compare_requires_two_policies(tmp_path, capsys):

@@ -158,6 +158,8 @@ BAD_VALUES = [
     (("policies", 3, "budget"), 0, "config.policies[3].budget: must be >= 1, got 0"),
     (("obstacles",), {}, "config.obstacles: expected a list"),
     (("obstacles", 0), [[0, 0], [1, 1]], "config.obstacles[0]: expected >= 3 vertices"),
+    (("obstacles", 0), [[0, 0], [10, 0], [10, 4], [4, 4], [4, 10], [0, 10]],
+     "config.obstacles[0]: expected a strictly convex polygon"),
     (("obstacles", 0, 2), ["a", 1], "config.obstacles[0][2][0]: expected a number, got 'a'"),
     (("obstacles", 0, 1), [1, 2, 3], "config.obstacles[0][1]: expected a list of 2 numbers"),
     (("truth",), "model", "config.truth: expected an object with a 'mode' key"),
@@ -221,6 +223,24 @@ def test_initial_position_must_be_reachable(tmp_path, capsys, position, message)
     raw = with_value(full_config(), ("sensor", "initial_position"), position)
     code, _, err = validate(tmp_path, capsys, raw)
     assert (code, err) == ((1, message + "\n") if message else (0, ""))
+
+
+@pytest.mark.parametrize("polygon, convex", [
+    ([[495, 455], [551, 455], [551, 545], [495, 545]], True),
+    ([[495, 545], [551, 545], [551, 455], [495, 455]], True),       # clockwise
+    ([[495, 455], [551, 455], [600, 455]], False),                  # collinear
+    ([[495, 455], [523, 455], [551, 455], [551, 545], [495, 545]], False),  # a vertex on an edge
+    ([[495, 455], [551, 455], [530, 500], [551, 545], [495, 545]], False),  # concave
+    ([[495, 455], [551, 545], [551, 455], [495, 545]], False),      # self-intersecting
+    ([[495, 455], [551, 455], [551, 545], [495, 545]] * 2, False),  # wound twice
+], ids=["counter-clockwise", "clockwise", "collinear", "vertex-on-edge", "concave",
+        "bowtie", "wound-twice"])
+def test_obstacles_must_be_strictly_convex(tmp_path, capsys, polygon, convex):
+    # the half-plane test lets the sensor through a concave polygon's arms
+    raw = with_value(full_config(), ("obstacles", 0), polygon)
+    code, _, err = validate(tmp_path, capsys, raw)
+    assert (code, err) == ((0, "") if convex else
+                           (1, "config.obstacles[0]: expected a strictly convex polygon\n"))
 
 
 def _run_argv(command, cfg, out):

@@ -149,6 +149,28 @@ def test_run_batch_parallel_matches_serial():
     assert serial.rms.overall == pytest.approx(para.rms.overall, abs=1e-12)
 
 
+def test_run_comparison_shares_one_pool(monkeypatch, tmp_path):
+    cfg = small_config()
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(args)
+        return real_pool(*args, **kwargs)
+
+    real_pool = simulate.Pool
+    monkeypatch.setattr(simulate, "Pool", counting_pool)
+    para = run_comparison(cfg, parallel=2)
+    assert len(pools) == 1
+    serial = run_comparison(cfg)
+    assert len(pools) == 1
+    paths = [tmp_path / "para.csv", tmp_path / "serial.csv"]
+    for path, batches in zip(paths, (para, serial)):
+        write_metrics_csv(path, batches)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert [b.label for b in para] == ["ns", "gd"]
+    assert all(b.wall_seconds > 0.0 for b in para)
+
+
 def test_run_comparison_is_paired():
     cfg = small_config()
     batches = run_comparison(cfg)
@@ -191,8 +213,12 @@ def test_summary_json_contents(tmp_path):
                       + entry["rms_gospa_false"] ** 2)
         assert entry["rms_gospa"] ** 2 == pytest.approx(decomposed, rel=1e-6)
     assert doc["config"]["seed"] == cfg.seed
-    assert doc["provenance"] == {"gosman": gosman.__version__, "numpy": np.__version__,
+    # a library caller passes no command line
+    assert doc["provenance"] == {"argv": None, "gosman": gosman.__version__,
+                                 "nproc": os.cpu_count(), "numpy": np.__version__,
                                  "python": platform.python_version()}
+    write_summary_json(path, cfg, batches, argv=["gosman", "compare"])
+    assert json.loads(path.read_text())["provenance"]["argv"] == ["gosman", "compare"]
 
 
 def test_summarise_matches_batch_rms():
