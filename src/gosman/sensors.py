@@ -87,13 +87,8 @@ class ObstacleMap:
         """Whether the point ``(x, y)`` lies strictly inside a polygon (half-plane tests)."""
         x, y = p
         for edges in self._edges:
-            below = above = False   # whether a cross product is <= 0, whether one is >= 0
-            for ax, ay, dx, dy in edges:
-                cross = dx * (y - ay) - dy * (x - ax)
-                below, above = below or not cross > 0.0, above or not cross < 0.0
-                if below and above:
-                    break
-            else:   # every cross product of one strict sign
+            cross = [dx * (y - ay) - dy * (x - ax) for ax, ay, dx, dy in edges]
+            if min(cross) > 0.0 or max(cross) < 0.0:
                 return True
         return False
 
