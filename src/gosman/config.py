@@ -103,8 +103,7 @@ def _parse_polygon(data, path) -> tuple:
     for i, ((ax, ay), (bx, by)) in enumerate(zip(poly, poly[1:] + poly[:1])):
         cross = [(bx - ax) * (y - ay) - (by - ay) * (x - ax)
                  for j, (x, y) in enumerate(poly) if j not in (i, (i + 1) % len(poly))]
-        _require(all(c > 0.0 for c in cross) or all(c < 0.0 for c in cross), path,
-                 "expected a strictly convex polygon")
+        _require(min(cross) > 0.0 or max(cross) < 0.0, path, "expected a strictly convex polygon")
     return poly
 
 
